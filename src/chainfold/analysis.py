@@ -305,7 +305,7 @@ def interpolation_constant() -> float:
     return 2 ** ((lg_p2 - lg_p1) / (0.5 - x2))
 
 
-def emit_curve(grid: int = 512, threads: int = 1) -> list[CurveRow]:
+def emit_curve(grid: int = 512) -> list[CurveRow]:
     """Upper/lower tradeoff envelope over x = lg S in (0, 1].
 
     Upper candidates at each grid point: the banded-family curve (anchor
@@ -319,6 +319,9 @@ def emit_curve(grid: int = 512, threads: int = 1) -> list[CurveRow]:
     not constrain boost-closure points (divide-and-conquer composites), and
     the two legitimately cross at small S, which is precisely why boosting
     is needed there.
+
+    One sequential pass from x = 1 down fills both columns: the boost
+    candidate at x reads the upper envelope already computed at 2x.
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
@@ -329,24 +332,9 @@ def emit_curve(grid: int = 512, threads: int = 1) -> list[CurveRow]:
     x_kp, lg_p_kp = pts["kp"]
     t_kp = 2 ** (x_kp + lg_p_kp)
 
-    # the lower column is independent per grid point; the boost recursion in
-    # the upper envelope is inherently sequential (high x to low)
-    def lower_at(k: int) -> float:
-        s = 2 ** (k / grid)
-        return s * density_lower_bound(s)
-
-    ks = list(range(grid, 0, -1))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lower = dict(zip(ks, pool.map(lower_at, ks)))
-    else:
-        lower = {k: lower_at(k) for k in ks}
-
     upper: dict[int, tuple[float, str]] = {}
     rows = []
-    for k in ks:
+    for k in range(grid, 0, -1):
         x = k / grid
         s = 2**x
         cands: list[tuple[float, str]] = []
@@ -368,7 +356,7 @@ def emit_curve(grid: int = 512, threads: int = 1) -> list[CurveRow]:
         cands.append((2 ** (2 - x), "st4"))
         t_up, src = min(cands, key=lambda c: c[0])
         upper[k] = (t_up, src)
-        t_low = lower[k]
+        t_low = s * density_lower_bound(s)
         rows.append(CurveRow(x, s, t_up, s * t_up, t_low, s * t_low, src))
     rows.reverse()
     return rows

@@ -72,7 +72,7 @@ def cmd_solve(args) -> int:
             families = [fams[s] for s in sizes]
         else:
             bs, families = verify.framework_plan(inst.n, fams)
-        sol = solver.framework_solver(inst, bs, families, threads=args.threads)
+        sol = solver.framework_solver(inst, bs, families)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.alg)
     elapsed = time.time() - t0
@@ -89,7 +89,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sys(args) -> int:
-    if not args.make and not args.metrics:
+    if not args.make and (not args.metrics or args.metrics is True):
         raise systems.FormatError("sys needs --make SPEC and/or --metrics FILE")
     if args.make:
         f = constructions.from_spec(args.make)
@@ -182,7 +182,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    rows = analysis.emit_curve(args.grid, threads=args.threads)
+    rows = analysis.emit_curve(args.grid)
     analysis.write_curve_csv(rows, args.out)
     print(f"rows {len(rows)}")
     print(f"out {args.out}")
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1, help="split samples (warmup)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--block-size", type=int, default=0, help="block size (framework)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sys", help="construct and measure set systems")
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="emit the tradeoff curve CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("verify", help="run the acceptance suites")

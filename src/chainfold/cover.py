@@ -320,6 +320,9 @@ def dump_family(family: CoverFamily, path, base_path) -> None:
 
 
 def load_family(path) -> CoverFamily:
+    """Read a family file.  A unique-mode claim is verified by enumeration
+    (FormatError when some permutation is not supported exactly once) and
+    refused with CapError above COVER_CAP, where it cannot be checked."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("base ") or not lines[1].startswith("mode "):
@@ -356,4 +359,7 @@ def load_family(path) -> CoverFamily:
             raise FormatError(f"{path}: removed lines in plain mode")
         return CoverFamily(base, tuple(relabelings))
     rem = tuple(removed.get(j, ()) for j in range(1, len(relabelings) + 1))
-    return CoverFamily(base, tuple(relabelings), unique_mode=True, removed=rem)
+    family = CoverFamily(base, tuple(relabelings), unique_mode=True, removed=rem)
+    if not exactly_once(family):
+        raise FormatError(f"{path}: unique mode, but some permutation is not supported once")
+    return family

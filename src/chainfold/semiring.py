@@ -161,13 +161,7 @@ def evaluate_restricted(p: PermutationProblem, family: CoverFamily):
             "restricted evaluation over a plain cover needs an additively "
             "idempotent semiring; use a unique-mode family instead"
         )
-    add = p.semiring.add
-    total = p.semiring.zero
-    for member in family.systems():
-        if member.n != p.n:
-            raise ValueError("family ground set does not match problem size")
-        total = add(total, _dp_over_masks(p, member.mask_set()))
-    return total
+    return _sum_over_members(p, family)
 
 
 def evaluate_unique(p: PermutationProblem, family: CoverFamily):
@@ -175,6 +169,11 @@ def evaluate_unique(p: PermutationProblem, family: CoverFamily):
     over arbitrary semirings."""
     if not family.unique_mode:
         raise ValueError("evaluate_unique needs a unique-mode family")
+    return _sum_over_members(p, family)
+
+
+def _sum_over_members(p: PermutationProblem, family: CoverFamily):
+    """(+) over the family's members of the DP restricted to each member."""
     add = p.semiring.add
     total = p.semiring.zero
     for member in family.systems():

@@ -16,6 +16,11 @@ lexicographically smallest optimal witness recoverable by a forward greedy
 walk (always take the smallest next city whose completion cost certifies
 optimality).
 
+The unrestricted solvers share a second engine, _path_dp: the same backward
+table and forward walk over all subsets of the cities strictly between two
+fixed endpoints.  held_karp is _path_dp from city 1 back to city 1, and
+gurevich_shelah hands it the subproblems left when its recursion stops.
+
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah recursively guesses the first half of the tour and
 the endpoint pair of each half; warmup-style random splits and the covering-
@@ -120,56 +125,14 @@ def brute_force(inst: TspInstance) -> Solution:
 
 
 def held_karp(inst: TspInstance) -> Solution:
-    """Subset DP over all prefix-sets, anchored at city 1.
-
-    B(mask, c) = cheapest way to leave city c, visit exactly the cities in
-    mask (a subset of 2..n), and close the tour at city 1.
-    """
+    """Subset DP over all prefix-sets, anchored at city 1: the fixed-endpoint
+    path DP from city 1 back to city 1, whose table holds 2^(n-1)*(n-1)
+    entries plus the closing one."""
     n = inst.n
     if n > HELD_KARP_CAP:
         raise CapError(f"held_karp caps at n <= {HELD_KARP_CAP}")
-    d = inst.dist
-    m = n - 1  # cities 2..n <-> bits 0..m-1
-    full = (1 << m) - 1
-    size = 1 << m
-    dp = [[0] * m for _ in range(size)]
-    for j in range(m):
-        dp[0][j] = d[j + 2][1]
-    for mask in range(1, size):
-        row = dp[mask]
-        for j in range(m):
-            if mask >> j & 1:
-                continue
-            dj = d[j + 2]
-            best = None
-            rest = mask
-            while rest:
-                b = rest & -rest
-                x = b.bit_length() - 1
-                v = dj[x + 2] + dp[mask ^ b][x]
-                if best is None or v < best:
-                    best = v
-                rest ^= b
-            row[j] = best
-    d1 = d[1]
-    value = min(d1[x + 2] + dp[full ^ (1 << x)][x] for x in range(m))
-    # forward greedy: smallest next city whose completion certifies the value
-    tour = [1]
-    remaining, c, target = full, 1, value
-    while remaining:
-        dc = d[c]
-        rest = remaining
-        while rest:
-            b = rest & -rest
-            x = b.bit_length() - 1
-            if dc[x + 2] + dp[remaining ^ b][x] == target:
-                tour.append(x + 2)
-                target -= dc[x + 2]
-                remaining ^= b
-                c = x + 2
-                break
-            rest ^= b
-    return Solution(value, tuple(tour), table_entries=size * m + 1)
+    value, tour = _path_dp(inst.dist, range(1, n + 1), 1, 1)
+    return Solution(value, tour[:-1], table_entries=(1 << (n - 1)) * (n - 1) + 1)
 
 
 def restricted_dp(inst: TspInstance, f: SetSystem):
@@ -261,29 +224,30 @@ def _path_brute(d, cities, a, b):
 
 
 def _path_dp(d, cities, a, b):
-    """Min Hamiltonian path a -> b with fixed endpoints, subset DP with the
-    same backward/forward-greedy scheme as held_karp."""
+    """Min Hamiltonian path a -> b through cities (a == b closes a cycle),
+    by the backward subset DP over the middle cities and a forward greedy
+    walk that recovers the lexicographically smallest witness."""
     middle = sorted(set(cities) - {a, b})
     m = len(middle)
     if m == 0:
         return d[a][b], (a, b)
-    idx = {c: i for i, c in enumerate(middle)}
     size = 1 << m
     dp = [[0] * m for _ in range(size)]
     for i, c in enumerate(middle):
         dp[0][i] = d[c][b]
+    dm = [[d[c][y] for y in middle] for c in middle]  # d re-indexed by position
     for mask in range(1, size):
         row = dp[mask]
         for i in range(m):
             if mask >> i & 1:
                 continue
-            di = d[middle[i]]
+            di = dm[i]
             best = None
             rest = mask
             while rest:
                 bbit = rest & -rest
                 x = bbit.bit_length() - 1
-                v = di[middle[x]] + dp[mask ^ bbit][x]
+                v = di[x] + dp[mask ^ bbit][x]
                 if best is None or v < best:
                     best = v
                 rest ^= bbit
@@ -369,6 +333,16 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
     return Solution(best_v, best_t)
 
 
+def _best(solutions):
+    """Lowest (value, tour) among the solutions that are not None, the first
+    one on a full tie; None when there are none."""
+    return min(
+        (sol for sol in solutions if sol is not None),
+        key=lambda sol: (sol.value, sol.tour),
+        default=None,
+    )
+
+
 def split_prefix_system(n: int, chosen, alpha: float) -> SetSystem:
     """Prefix-set collection for one sampled half-split: subsets of the
     chosen half, supersets of it, and the middle band where at least
@@ -420,7 +394,6 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
         raise ValueError("need at least one trial")
     half = n // 2
     total_splits = comb(n, half)
-    best = None
     cache: dict[tuple, Solution] = {}
 
     def run(chosen) -> Solution:
@@ -435,15 +408,7 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     else:
         gen = SplitMix64(seed)
         splits = (gen.sample(n, half) for _ in range(trials))
-    for chosen in splits:
-        sol = run(tuple(chosen))
-        if sol is not None and (
-            best is None
-            or sol.value < best.value
-            or (sol.value == best.value and sol.tour < best.tour)
-        ):
-            best = sol
-    return best
+    return _best(run(tuple(chosen)) for chosen in splits)
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
@@ -458,10 +423,7 @@ def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
 
 
 def framework_solver(
-    inst: TspInstance,
-    block_size: int,
-    families: "list[CoverFamily]",
-    threads: int = 1,
+    inst: TspInstance, block_size: int, families: "list[CoverFamily]"
 ) -> Solution:
     """Optimal tour via per-block covering families.
 
@@ -491,26 +453,8 @@ def framework_solver(
             combined = union_product(combined, member_systems[i][index_tuple[i]])
         return combined
 
-    tuples = list(iter_product(*(range(len(ms)) for ms in member_systems)))
-
-    def run(index_tuple):
-        return restricted_dp(inst, assemble(index_tuple))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tuples))
-    else:
-        results = [run(t) for t in tuples]
-    best = None
-    for sol in results:  # fixed fold order: completion order cannot matter
-        if sol is not None and (
-            best is None
-            or sol.value < best.value
-            or (sol.value == best.value and sol.tour < best.tour)
-        ):
-            best = sol
+    tuples = iter_product(*(range(len(ms)) for ms in member_systems))
+    best = _best(restricted_dp(inst, assemble(t)) for t in tuples)
     if best is None:
         raise ValueError("no index tuple admits a tour")
     return best

@@ -278,10 +278,6 @@ def test_curve_shape_and_headline_points():
             assert r.t_upper >= r.t_lower - 1e-9
 
 
-def test_curve_threads_do_not_change_rows():
-    assert emit_curve(64, threads=3) == emit_curve(64)
-
-
 def test_curve_dominates_kp_point():
     pts = reference_points()
     x_kp, lg_p_kp = pts["kp"]

@@ -102,6 +102,14 @@ def test_sys_make_and_metrics_roundtrip(capsys, tmp_path):
     assert "S=1.452419" in out_metrics and "P=1.861602" in out_metrics
 
 
+def test_sys_bare_metrics_without_make_exits_2(capsys):
+    code, out = run_cli(capsys, "sys", "--metrics")
+    assert code == 2 and out == ""
+    # with --make, the bare flag names the metrics --make prints
+    code, out = run_cli(capsys, "sys", "--make", "tower:2,2", "--metrics")
+    assert code == 0 and out.startswith("n=4 ")
+
+
 def test_sys_cap_violation_exits_3(capsys):
     code, _ = run_cli(capsys, "sys", "--make", "powerset:40")
     assert code == 3

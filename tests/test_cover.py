@@ -13,6 +13,7 @@ from chainfold.constructions import (
     tower_of_cubes,
 )
 from chainfold.cover import (
+    COVER_CAP,
     CoverFamily,
     covers_all,
     dump_family,
@@ -33,6 +34,7 @@ from chainfold.systems import (
     FormatError,
     SetSystem,
     count_chains,
+    dump_system,
     mask_of,
     prefix_chain,
     relabel,
@@ -252,4 +254,30 @@ def test_family_file_rejects_bad_mode(tmp_path):
     path = tmp_path / "fam.cf"
     path.write_text(f"base {base_path}\nmode sometimes\n1 2 3\n")
     with pytest.raises(FormatError):
+        load_family(path)
+
+
+def _unique_family_file(tmp_path, base, relabelings):
+    base_path = tmp_path / "base.ss"
+    dump_system(base, base_path)
+    path = tmp_path / "fam.cf"
+    lines = [" ".join(map(str, sigma)) for sigma in relabelings]
+    path.write_text(f"base {base_path}\nmode unique\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def test_family_file_rejects_false_unique_claim(tmp_path):
+    # the identity of powerset(4) twice supports every permutation twice;
+    # trusted, evaluate_unique would count 48 orders instead of 24
+    identity = (1, 2, 3, 4)
+    path = _unique_family_file(tmp_path, powerset(4), [identity, identity])
+    assert not exactly_once(CoverFamily(powerset(4), (identity, identity), unique_mode=True))
+    with pytest.raises(FormatError):
+        load_family(path)
+
+
+def test_family_file_refuses_unique_claim_above_cap(tmp_path):
+    n = COVER_CAP + 1
+    path = _unique_family_file(tmp_path, single_chain(n), [tuple(range(1, n + 1))])
+    with pytest.raises(CapError):
         load_family(path)

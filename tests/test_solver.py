@@ -11,8 +11,11 @@ from chainfold.constructions import (
     tower_of_cubes,
 )
 from chainfold.cover import exact_min_cover, greedy_prune, random_cover
+from chainfold.rng import SplitMix64
 from chainfold.solver import (
     TspInstance,
+    _path_brute,
+    _path_dp,
     brute_force,
     dump_instance,
     framework_solver,
@@ -75,6 +78,24 @@ def test_held_karp_rectangle_optimum():
     assert brute_force(inst).value == 14
     sol = held_karp(inst)
     assert sol.value == 14 and sol.tour == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_held_karp_table_entries(n):
+    # the table_entries line of `chainfold solve --alg bhk`
+    assert held_karp(random_instance(n, n)).table_entries == 2 ** (n - 1) * (n - 1) + 1
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
+    # weights in {1, 2} tie often, so the lexicographically smallest witness
+    # is checked along with the value; a == b is the closed-tour case
+    for seed in range(4):
+        inst = random_instance(9, seed * 13 + k, max_weight=2)
+        cities = SplitMix64(seed).sample(9, k)
+        for a in cities:
+            for b in cities:
+                assert _path_dp(inst.dist, cities, a, b) == _path_brute(inst.dist, cities, a, b)
 
 
 # --- restricted DP ---------------------------------------------------------------
@@ -251,14 +272,6 @@ def test_framework_mixed_blocks_four_five():
         inst = random_instance(9, seed)
         sol = framework_solver(inst, 4, [fam4, fam5])
         assert sol.value == brute_force(inst).value
-
-
-def test_framework_threads_agree():
-    fam4 = exact_min_cover(tower_of_cubes(2, 2))
-    inst = random_instance(8, 11)
-    solo = framework_solver(inst, 4, [fam4, fam4], threads=1)
-    multi = framework_solver(inst, 4, [fam4, fam4], threads=4)
-    assert solo == multi
 
 
 def test_framework_rejects_noncovering_family():
