@@ -23,10 +23,11 @@ def main() -> None:
     inst = solver.random_instance(args.n, args.seed)
     trials = args.trials or comb(args.n, args.n // 2)
     block_size, families = verify.framework_plan(args.n)
+    pset = powerset(args.n)
     runs = [
         ("brute", lambda: solver.brute_force(inst)),
         ("held-karp", lambda: solver.held_karp(inst)),
-        ("restricted(powerset)", lambda: solver.restricted_dp(inst, powerset(args.n))),
+        ("restricted(powerset)", lambda: solver.restricted_dp(inst, pset)),
         ("divide&conquer d=1", lambda: solver.gurevich_shelah(inst, 1)),
         ("divide&conquer d=2", lambda: solver.gurevich_shelah(inst, 2)),
         ("random-split", lambda: solver.random_split_solver(inst, 0.445, trials, args.seed)),

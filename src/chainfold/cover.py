@@ -55,6 +55,7 @@ class CoverFamily:
     unique_mode: bool = False
     removed: tuple = ()  # per member: tuple of masks dropped (unique mode)
     _systems: list = field(default=None, repr=False, compare=False)
+    _exactly_once: bool = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.relabelings)
@@ -90,12 +91,17 @@ def covers_all(family: CoverFamily) -> bool:
 
 
 def exactly_once(family: CoverFamily) -> bool:
-    """Exhaustive unique-mode check: every permutation hits one member."""
-    n = family.base.n
-    if n > COVER_CAP:
-        raise CapError(f"uniqueness check enumerates {n}! permutations; cap {COVER_CAP}")
-    members = family.systems()
-    return all(sum(1 for g in members if supports(g, p)) == 1 for p in _all_perms(n))
+    """Exhaustive unique-mode check: every permutation hits one member.
+    Cached on the family, like its member systems."""
+    if family._exactly_once is None:
+        n = family.base.n
+        if n > COVER_CAP:
+            raise CapError(f"uniqueness check enumerates {n}! permutations; cap {COVER_CAP}")
+        members = family.systems()
+        family._exactly_once = all(
+            sum(1 for g in members if supports(g, p)) == 1 for p in _all_perms(n)
+        )
+    return family._exactly_once
 
 
 def prescribed_family_size(f: SetSystem) -> int:

@@ -17,7 +17,7 @@ Three evaluators, strongest preconditions last:
   covering family, combined with (+).  Restricted needs an additively
   idempotent semiring (overlapping members would otherwise double-count);
   unique accepts any semiring because each permutation is supported exactly
-  once.
+  once, which it verifies by enumeration (once per family) before summing.
 
 Degree is capped at 3: the DP state carries the last d-1 entries, and beyond
 that the state blowup defeats the desk-scale purpose.
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import inf
 
-from .cover import CoverFamily
+from .cover import CoverFamily, exactly_once
 from .systems import CapError, FormatError
 
 DEGREE_CAP = 3
@@ -166,9 +166,12 @@ def evaluate_restricted(p: PermutationProblem, family: CoverFamily):
 
 def evaluate_unique(p: PermutationProblem, family: CoverFamily):
     """Sum the per-member restricted DPs of an exact-once family; correct
-    over arbitrary semirings."""
+    over arbitrary semirings.  The unique-mode claim is verified by
+    enumeration (cached on the family) before any member is summed."""
     if not family.unique_mode:
         raise ValueError("evaluate_unique needs a unique-mode family")
+    if not exactly_once(family):
+        raise ValueError("unique-mode family supports some permutation more or less than once")
     return _sum_over_members(p, family)
 
 

@@ -2,24 +2,21 @@
 
 All solvers return the optimal cyclic tour value plus a witness permutation,
 with ties broken by the lexicographically smallest witness so outputs are
-deterministic and diffable.  The restricted solvers share one engine:
+deterministic and diffable.  Every subset DP here is one engine, _chain_dp:
+a table B(s, c) = cheapest completion of a chain whose prefix-set is s and
+whose last city is c, filled backward over the given sets, then a forward
+greedy walk (always take the smallest next city whose completion cost
+certifies optimality) that recovers the lexicographically smallest optimal
+witness.  The callers differ only in the sets they hand it:
 
     restricted_dp(inst, f) minimizes over tours whose prefix-sets (read from
-    the tour's first city) all lie in f.  State is (prefix-set, last city);
-    transitions only step between sets of f differing by one element, and the
-    DP runs once per choice of first city, keeping the table at <= n*|f|
-    entries.
+    the tour's first city) all lie in f.  It runs the engine once per first
+    city over the sets of f, keeping the table at <= n*|f| entries.
 
-The table is filled backward -- B(s, c) = cheapest completion of a tour whose
-prefix-set is s and last city is c -- because a backward table makes the
-lexicographically smallest optimal witness recoverable by a forward greedy
-walk (always take the smallest next city whose completion cost certifies
-optimality).
-
-The unrestricted solvers share a second engine, _path_dp: the same backward
-table and forward walk over all subsets of the cities strictly between two
-fixed endpoints.  held_karp is _path_dp from city 1 back to city 1, and
-gurevich_shelah hands it the subproblems left when its recursion stops.
+    held_karp is the engine over the powerset, anchored at city 1, and
+    gurevich_shelah hands it the fixed-endpoint paths left when its
+    recursion stops (_fixed_path); both enumerate the powerset as submasks
+    without building a SetSystem.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah recursively guesses the first half of the tour and
@@ -125,83 +122,130 @@ def brute_force(inst: TspInstance) -> Solution:
 
 
 def held_karp(inst: TspInstance) -> Solution:
-    """Subset DP over all prefix-sets, anchored at city 1: the fixed-endpoint
-    path DP from city 1 back to city 1, whose table holds 2^(n-1)*(n-1)
-    entries plus the closing one."""
+    """Subset DP over all prefix-sets, anchored at city 1: the chain DP over
+    the powerset, whose table holds 2^(n-1)*(n-1) entries plus the closing
+    one."""
     n = inst.n
     if n > HELD_KARP_CAP:
         raise CapError(f"held_karp caps at n <= {HELD_KARP_CAP}")
-    value, tour = _path_dp(inst.dist, range(1, n + 1), 1, 1)
-    return Solution(value, tour[:-1], table_entries=(1 << (n - 1)) * (n - 1) + 1)
+    full = (1 << n) - 1
+    value, tour, _ = _chain_dp(inst.dist, _submasks(full, 1), full, 1, 1)
+    return Solution(value, tour, table_entries=(1 << (n - 1)) * (n - 1) + 1)
 
 
 def restricted_dp(inst: TspInstance, f: SetSystem):
     """Cheapest tour among those supported by f, or None when f admits no
-    chain.  Runs the (set, last)-state DP once per first city."""
+    chain.  Runs the chain DP once per first city {c} in f; table_entries is
+    the largest of those tables."""
     n = inst.n
     if f.n != n:
         raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
     masks = f.mask_set()
-    if 0 not in masks:
-        return None
-    succ = f.successors()
-    elements = f.elements()
-    d = inst.dist
     full = (1 << n) - 1
-    if full not in masks:
+    if 0 not in masks or full not in masks:
         return None
-    by_level_desc = [lv for lv in reversed(f.levels[1:])]
-    best_value, best_tour = None, None
-    peak = 0
-    for c0 in range(1, n + 1):
-        start = 1 << (c0 - 1)
-        if start not in masks:
+    sets = sorted(masks, reverse=True)
+    runs = [
+        _chain_dp(inst.dist, sets, full, c, c) for c in range(1, n + 1) if 1 << (c - 1) in masks
+    ]
+    peak = max((entries for _, _, entries in runs), default=0)
+    return _best(Solution(value, tour, peak) for value, tour, _ in runs if value is not None)
+
+
+def _chain_dp(d, sets, top, first, last):
+    """Cheapest chain from {first} up to top through the given sets, paying
+    d[c][e] for each step that adds city e after city c and d[c][last] after
+    the last city c of top.
+
+    sets are subsets of top in descending numeric order; those without first
+    are skipped.  table[s][c] is the cheapest completion from prefix-set s
+    ending at city c.  s | e > s for every e outside s, so table[s | e] is
+    filled before table[s] reads it.  A forward greedy walk, smallest next city first, recovers
+    the lexicographically smallest optimal order.  Returns (value, order,
+    entries): order lists the cities of top from first, and value and order
+    are None when no chain reaches top.  entries counts the table's cells.
+    """
+    fbit = 1 << (first - 1)
+    size = top.bit_length() + 1
+    row = [0] * size
+    rest = top
+    while rest:
+        low = rest & -rest
+        c = low.bit_length()
+        row[c] = d[c][last]
+        rest ^= low
+    table = {top: row}
+    get = table.get
+    for s in sets:
+        if not s & fbit:
             continue
-        c0bit = start
-        # B[s][c] = cheapest completion of prefix-set s ending at city c
-        table: dict[int, dict[int, int]] = {full: {c: d[c][c0] for c in elements[full]}}
-        entries = n
-        for lv in by_level_desc:
-            for s in lv:
-                if s == full or not s & c0bit:
-                    continue
-                choices = []
-                for e, nxt in succ[s]:
-                    nxt_row = table.get(nxt)
-                    if nxt_row is not None and e in nxt_row:
-                        choices.append((e, nxt_row[e]))
-                if not choices:
-                    continue
-                row = {}
-                for c in elements[s]:
-                    dc = d[c]
-                    row[c] = min(dc[e] + v for e, v in choices)
-                table[s] = row
-                entries += len(row)
-        peak = max(peak, entries)
-        start_row = table.get(start)
-        if start_row is None or c0 not in start_row:
-            continue
-        value = start_row[c0]
-        if best_value is not None and value > best_value:
-            continue
-        # forward greedy along the certified-optimal completions
-        tour = [c0]
-        s, c, target = start, c0, value
-        while s != full:
-            for e, nxt in succ[s]:
-                nxt_row = table.get(nxt)
-                if nxt_row is not None and e in nxt_row and d[c][e] + nxt_row[e] == target:
-                    target -= d[c][e]
-                    tour.append(e)
-                    s, c = nxt, e
+        choices = []
+        rest = top ^ s
+        while rest:
+            low = rest & -rest
+            nxt = get(s | low)
+            if nxt is not None:
+                e = low.bit_length()
+                choices.append((e, nxt[e]))
+            rest ^= low
+        if not choices:
+            continue  # top itself, or no set of the chain follows s
+        row = [0] * size
+        rest = s
+        while rest:
+            low = rest & -rest
+            c = low.bit_length()
+            dc = d[c]
+            best = None
+            for e, v in choices:
+                v += dc[e]
+                if best is None or v < best:
+                    best = v
+            row[c] = best
+            rest ^= low
+        table[s] = row
+    entries = sum(map(int.bit_count, table))
+    start = get(fbit)
+    if start is None:
+        return None, None, entries
+    value = start[first]
+    order = [first]
+    s, c, target = fbit, first, value
+    while s != top:
+        dc = d[c]
+        rest = top ^ s
+        while rest:
+            low = rest & -rest
+            nxt = get(s | low)
+            if nxt is not None:
+                e = low.bit_length()
+                if dc[e] + nxt[e] == target:
+                    target -= dc[e]
+                    order.append(e)
+                    s, c = s | low, e
                     break
-        tour = tuple(tour)
-        if best_value is None or value < best_value or (value == best_value and tour < best_tour):
-            best_value, best_tour = value, tour
-    if best_value is None:
-        return None
-    return Solution(best_value, best_tour, table_entries=peak)
+            rest ^= low
+    return value, tuple(order), entries
+
+
+def _submasks(top, first):
+    """Every subset of top that holds first, in descending numeric order."""
+    fbit = 1 << (first - 1)
+    rest = top ^ fbit
+    sub = rest
+    while True:
+        yield sub | fbit
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+def _fixed_path(d, cities, a, b):
+    """Min Hamiltonian path a -> b through cities (a == b closes a cycle):
+    the chain DP over every subset of cities that holds a and not b."""
+    top = mask_of(cities) & ~(1 << (b - 1)) | 1 << (a - 1)
+    value, order, _ = _chain_dp(d, _submasks(top, a), top, a, b)
+    return value, order + (b,)
 
 
 def _path_brute(d, cities, a, b):
@@ -221,57 +265,6 @@ def _path_brute(d, cities, a, b):
         if best_v is None or v < best_v:
             best_v, best_t = v, (a, *order, b)
     return best_v, best_t
-
-
-def _path_dp(d, cities, a, b):
-    """Min Hamiltonian path a -> b through cities (a == b closes a cycle),
-    by the backward subset DP over the middle cities and a forward greedy
-    walk that recovers the lexicographically smallest witness."""
-    middle = sorted(set(cities) - {a, b})
-    m = len(middle)
-    if m == 0:
-        return d[a][b], (a, b)
-    size = 1 << m
-    dp = [[0] * m for _ in range(size)]
-    for i, c in enumerate(middle):
-        dp[0][i] = d[c][b]
-    dm = [[d[c][y] for y in middle] for c in middle]  # d re-indexed by position
-    for mask in range(1, size):
-        row = dp[mask]
-        for i in range(m):
-            if mask >> i & 1:
-                continue
-            di = dm[i]
-            best = None
-            rest = mask
-            while rest:
-                bbit = rest & -rest
-                x = bbit.bit_length() - 1
-                v = di[x] + dp[mask ^ bbit][x]
-                if best is None or v < best:
-                    best = v
-                rest ^= bbit
-            row[i] = best
-    full = size - 1
-    da = d[a]
-    value = min(da[middle[x]] + dp[full ^ (1 << x)][x] for x in range(m))
-    tour = [a]
-    remaining, c, target = full, a, value
-    while remaining:
-        dc = d[c]
-        rest = remaining
-        while rest:
-            bbit = rest & -rest
-            x = bbit.bit_length() - 1
-            if dc[middle[x]] + dp[remaining ^ bbit][x] == target:
-                tour.append(middle[x])
-                target -= dc[middle[x]]
-                remaining ^= bbit
-                c = middle[x]
-                break
-            rest ^= bbit
-    tour.append(b)
-    return value, tuple(tour)
 
 
 def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
@@ -296,10 +289,10 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
         if hit is not None:
             return hit
         if depth >= switch_depth:
-            if len(cities) <= 8:
+            if len(cities) <= 7:  # brute force is faster up to 7 cities
                 res = _path_brute(d, cities, a, b)
             else:
-                res = _path_dp(d, cities, a, b)
+                res = _fixed_path(d, cities, a, b)
         else:
             half = len(cities) // 2
             pool = sorted(cities - {a, b})

@@ -7,7 +7,7 @@ from math import factorial, inf
 import pytest
 
 from chainfold.constructions import core_prefix_system, powerset
-from chainfold.cover import CoverFamily, greedy_prune, make_unique, random_cover
+from chainfold.cover import CoverFamily, exactly_once, greedy_prune, make_unique, random_cover
 from chainfold.rng import SplitMix64
 from chainfold.semiring import (
     COUNTING,
@@ -240,6 +240,25 @@ def test_unique_requires_unique_mode():
     p = PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING)
     with pytest.raises(ValueError):
         evaluate_unique(p, fam)
+
+
+def test_unique_refuses_false_unique_claim():
+    # two identity members of powerset(4) support every permutation twice:
+    # summing them would count 48 permutations, not 24
+    ident = (1, 2, 3, 4)
+    fam = CoverFamily(powerset(4), (ident, ident), unique_mode=True, removed=((), ()))
+    p = PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING)
+    assert not exactly_once(fam)
+    with pytest.raises(ValueError):
+        evaluate_unique(p, fam)
+
+
+def test_unique_check_is_cached_on_the_family():
+    fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
+    p = PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING)
+    assert fam._exactly_once is None
+    assert evaluate_unique(p, fam) == 24
+    assert fam._exactly_once is True
 
 
 def test_le_on_random_poset_with_unique_family():

@@ -14,8 +14,8 @@ from chainfold.cover import exact_min_cover, greedy_prune, random_cover
 from chainfold.rng import SplitMix64
 from chainfold.solver import (
     TspInstance,
+    _fixed_path,
     _path_brute,
-    _path_dp,
     brute_force,
     dump_instance,
     framework_solver,
@@ -54,10 +54,16 @@ def test_brute_cap():
 
 # --- held-karp ----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", SIZES)
-def test_held_karp_matches_brute(n):
+# weights in {1, 2} tie often, so the lexicographically smallest witness is
+# checked along with the value
+@pytest.mark.parametrize(
+    "n, max_weight",
+    [pytest.param(n, 99, id=str(n)) for n in SIZES]
+    + [pytest.param(n, 2, id=f"{n}-ties") for n in SIZES],
+)
+def test_held_karp_matches_brute(n, max_weight):
     for seed in SEEDS:
-        inst = random_instance(n, seed * 31 + n)
+        inst = random_instance(n, seed * 31 + n, max_weight=max_weight)
         b, h = brute_force(inst), held_karp(inst)
         assert h.value == b.value
         assert h.tour == b.tour
@@ -95,7 +101,7 @@ def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
         cities = SplitMix64(seed).sample(9, k)
         for a in cities:
             for b in cities:
-                assert _path_dp(inst.dist, cities, a, b) == _path_brute(inst.dist, cities, a, b)
+                assert _fixed_path(inst.dist, cities, a, b) == _path_brute(inst.dist, cities, a, b)
 
 
 # --- restricted DP ---------------------------------------------------------------
@@ -149,9 +155,11 @@ def test_restricted_table_stays_within_bound():
     assert 0 < sol.table_entries <= 7 * len(f)
 
 
-def test_restricted_matches_supported_enumeration_oracle():
+@pytest.mark.parametrize("max_weight", [99, 2])
+def test_restricted_matches_supported_enumeration_oracle(max_weight):
     # direct oracle: enumerate every permutation the system supports, take
-    # the cheapest cyclic cost with the lexicographically smallest witness
+    # the cheapest cyclic cost with the lexicographically smallest witness;
+    # weights in {1, 2} make that witness the tie-breaker
     from itertools import permutations
 
     from chainfold.rng import SplitMix64
@@ -160,7 +168,7 @@ def test_restricted_matches_supported_enumeration_oracle():
     gen = SplitMix64(2024)
     for trial in range(30):
         n = 4 + gen.randbelow(3)
-        inst = random_instance(n, 900 + trial)
+        inst = random_instance(n, 900 + trial, max_weight=max_weight)
         masks = {gen.randbelow(1 << n) for _ in range(gen.randbelow(3 * n) + 2)}
         if gen.randbelow(2):
             masks |= {0, (1 << n) - 1}
