@@ -2,9 +2,13 @@
 """Race the exact solvers on one seeded instance and check they agree.
 
 Usage: python scripts/solver_race.py [--n 9] [--seed 0] [--trials 70]
+
+Exits 1 when the solvers disagree on the optimal value, so it can serve as a
+smoke check.
 """
 
 import argparse
+import sys
 import time
 from math import comb
 
@@ -12,7 +16,7 @@ from chainfold import solver, verify
 from chainfold.constructions import powerset
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=9)
     parser.add_argument("--seed", type=int, default=0)
@@ -42,8 +46,12 @@ def main() -> None:
         values.add(sol.value)
         entries = f" table={sol.table_entries}" if sol.table_entries else ""
         print(f"  {name:<22s} value={sol.value}  {dt:8.1f} ms{entries}")
-    print("all agree" if len(values) == 1 else f"DISAGREEMENT: {sorted(values)}")
+    if len(values) == 1:
+        print("all agree")
+        return 0
+    print(f"DISAGREEMENT: {sorted(values)}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

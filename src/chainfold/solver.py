@@ -2,30 +2,49 @@
 
 All solvers return the optimal cyclic tour value plus a witness permutation,
 with ties broken by the lexicographically smallest witness so outputs are
-deterministic and diffable.  Every subset DP here is one engine, _chain_dp:
-a table B(s, c) = cheapest completion of a chain whose prefix-set is s and
-whose last city is c, filled backward over the given sets, then a forward
-greedy walk (always take the smallest next city whose completion cost
-certifies optimality) that recovers the lexicographically smallest optimal
-witness.  The callers differ only in the sets they hand it:
+deterministic and diffable.  Every subset DP here is one engine, _chain_dp.
+It solves many chain problems (sets, first, last) over one distance matrix
+in a single numpy sweep: B(s, c) = cheapest completion of a chain whose
+prefix-set is s and whose last city is c, held in int64 rows keyed by
+(problem, s) and filled one popcount level at a time, from the top set down.
+Each row finds its successors s | e in the level above with searchsorted
+and keeps the argmin of d[c][e] + B(s | e, e), whose first minimum is the
+smallest next city; following those stored choices (int8) from {first}
+yields the lexicographically smallest optimal witness.
+
+A missing successor reads SENTINEL = 3 * 2^61.  Instances keep
+n * max|w| < WEIGHT_BOUND = 2^62, so every chain value and every value plus
+one weight lies below 2^62 < SENTINEL - max|w|, and SENTINEL plus one weight
+stays below 2^63: the int64 fill never overflows and never picks a missing
+successor.  Only two levels of values are alive at a time, the per-level
+temporaries are cut into CHUNK-cell pieces, and a row key packs the problem
+index above the set's bits, so a sweep holds at most 2^(63 - n) problems.
+
+The callers differ only in the problems they hand the engine:
 
     restricted_dp(inst, f) minimizes over tours whose prefix-sets (read from
-    the tour's first city) all lie in f.  It runs the engine once per first
-    city over the sets of f, keeping the table at <= n*|f| entries.
+    the tour's first city) all lie in f.  It solves one problem per first
+    city {c} in f, each table holding <= n*|f| entries.
 
     held_karp is the engine over the powerset, anchored at city 1, and
     gurevich_shelah hands it the fixed-endpoint paths left when its
     recursion stops (_fixed_path); both enumerate the powerset as submasks
     without building a SetSystem.
 
+    random_split_solver and framework_solver draw their systems lazily and
+    stream them through the same sweeps, so neither builds its whole list
+    of systems at once.  A sweep takes problems until it holds about
+    BATCH_ROWS candidate rows, so a large system's first cities are split
+    over several sweeps and its tables are never all alive together.
+
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah recursively guesses the first half of the tour and
-the endpoint pair of each half; warmup-style random splits and the covering-
-family solver both reduce to restricted_dp runs.
+the endpoint pair of each half.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -37,6 +56,9 @@ from .systems import CapError, FormatError, SetSystem, mask_of, union_product
 HELD_KARP_CAP = 24
 BRUTE_CAP = 11
 WEIGHT_BOUND = 1 << 62  # n * max |weight| must stay below 2^63
+SENTINEL = 3 << 61  # a missing successor: see the module docstring
+BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
+CHUNK = 1 << 14  # cells of one (rows x cities x cities) fill temporary
 
 
 @dataclass(frozen=True)
@@ -129,122 +151,157 @@ def held_karp(inst: TspInstance) -> Solution:
     if n > HELD_KARP_CAP:
         raise CapError(f"held_karp caps at n <= {HELD_KARP_CAP}")
     full = (1 << n) - 1
-    value, tour, _ = _chain_dp(inst.dist, _submasks(full, 1), full, 1, 1)
+    [(value, tour, _)] = _chain_dp(inst.dist, full, [(_submasks(full, 1), 1, 1)])
     return Solution(value, tour, table_entries=(1 << (n - 1)) * (n - 1) + 1)
 
 
 def restricted_dp(inst: TspInstance, f: SetSystem):
     """Cheapest tour among those supported by f, or None when f admits no
-    chain.  Runs the chain DP once per first city {c} in f; table_entries is
-    the largest of those tables."""
+    chain.  Runs the chain DP for every first city {c} in f, their problems
+    swept together; table_entries is the largest of their tables."""
+    [sol] = _restricted_sweeps(inst, [f])
+    return sol
+
+
+def _restricted_sweeps(inst: TspInstance, systems):
+    """restricted_dp of each system, in order.  Systems are drawn lazily and
+    their chain problems, one per first city, are swept together about
+    BATCH_ROWS candidate rows at a time, so a solver never builds its whole
+    list of systems and a large system never holds all of its tables."""
     n = inst.n
-    if f.n != n:
-        raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
-    masks = f.mask_set()
     full = (1 << n) - 1
-    if 0 not in masks or full not in masks:
-        return None
-    sets = sorted(masks, reverse=True)
-    runs = [
-        _chain_dp(inst.dist, sets, full, c, c) for c in range(1, n + 1) if 1 << (c - 1) in masks
-    ]
-    peak = max((entries for _, _, entries in runs), default=0)
-    return _best(Solution(value, tour, peak) for value, tour, _ in runs if value is not None)
+    waiting = deque()  # first-city counts of the systems not yielded yet
+    runs, problems, rows = [], [], 0
+    for f in chain(systems, [None]):
+        if f is None:
+            runs += _chain_dp(inst.dist, full, problems)
+        else:
+            if f.n != n:
+                raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
+            masks = f.mask_set()
+            firsts = []
+            if 0 in masks and full in masks:
+                firsts = [c for c in range(1, n + 1) if 1 << (c - 1) in masks]
+            sets = np.fromiter(masks, np.int64, len(masks))
+            waiting.append(len(firsts))
+            for c in firsts:
+                problems.append((sets, c, c))
+                rows += len(sets)
+                if rows >= BATCH_ROWS:
+                    runs += _chain_dp(inst.dist, full, problems)
+                    problems, rows = [], 0
+        while waiting and waiting[0] <= len(runs):
+            k = waiting.popleft()
+            mine, runs = runs[:k], runs[k:]
+            peak = max((entries for _, _, entries in mine), default=0)
+            yield _best(Solution(value, tour, peak) for value, tour, _ in mine if value is not None)
 
 
-def _chain_dp(d, sets, top, first, last):
-    """Cheapest chain from {first} up to top through the given sets, paying
-    d[c][e] for each step that adds city e after city c and d[c][last] after
-    the last city c of top.
+def _chain_dp(d, top, problems):
+    """Solve chain problems (sets, first, last) that share d and top in one
+    level sweep.  A problem asks for the cheapest chain from {first} up to
+    top through its sets, paying d[c][e] for each step that adds city e after
+    city c and d[c][last] after the last city c of top.
 
-    sets are subsets of top in descending numeric order; those without first
-    are skipped.  table[s][c] is the cheapest completion from prefix-set s
-    ending at city c.  s | e > s for every e outside s, so table[s | e] is
-    filled before table[s] reads it.  A forward greedy walk, smallest next city first, recovers
-    the lexicographically smallest optimal order.  Returns (value, order,
-    entries): order lists the cities of top from first, and value and order
-    are None when no chain reaches top.  entries counts the table's cells.
+    sets is an int64 array of subsets of top; those without first are
+    skipped.  A row is keyed (problem << top.bit_length()) | s, and its
+    values table[s][c] are the cheapest completions from prefix-set s ending
+    at city c.  Levels (popcount of s) are filled from |top| down to 1, keys
+    sorted within each, so the successors s | e of a row are found with
+    searchsorted in the level above.  A missing successor reads SENTINEL, and
+    a row with none is dropped, as no chain through it reaches top.  argmin
+    keeps the first minimum, the smallest next city, so following the stored
+    choices from {first} gives the lexicographically smallest optimal order.
+    Returns one (value, order, entries) per problem: order lists the cities
+    of top from first, value and order are None when no chain reaches top,
+    and entries counts the table's cells.
     """
-    fbit = 1 << (first - 1)
-    size = top.bit_length() + 1
-    row = [0] * size
-    rest = top
-    while rest:
-        low = rest & -rest
-        c = low.bit_length()
-        row[c] = d[c][last]
-        rest ^= low
-    table = {top: row}
-    get = table.get
-    for s in sets:
-        if not s & fbit:
-            continue
-        choices = []
-        rest = top ^ s
-        while rest:
-            low = rest & -rest
-            nxt = get(s | low)
-            if nxt is not None:
-                e = low.bit_length()
-                choices.append((e, nxt[e]))
-            rest ^= low
-        if not choices:
-            continue  # top itself, or no set of the chain follows s
-        row = [0] * size
-        rest = s
-        while rest:
-            low = rest & -rest
-            c = low.bit_length()
-            dc = d[c]
-            best = None
-            for e, v in choices:
-                v += dc[e]
-                if best is None or v < best:
-                    best = v
-            row[c] = best
-            rest ^= low
-        table[s] = row
-    entries = sum(map(int.bit_count, table))
-    start = get(fbit)
-    if start is None:
-        return None, None, entries
-    value = start[first]
-    order = [first]
-    s, c, target = fbit, first, value
-    while s != top:
-        dc = d[c]
-        rest = top ^ s
-        while rest:
-            low = rest & -rest
-            nxt = get(s | low)
-            if nxt is not None:
-                e = low.bit_length()
-                if dc[e] + nxt[e] == target:
-                    target -= dc[e]
-                    order.append(e)
-                    s, c = s | low, e
-                    break
-            rest ^= low
-    return value, tuple(order), entries
+    shift = top.bit_length()
+    room = 1 << (63 - shift)  # problem indices that fit beside a mask in an int64 key
+    if len(problems) > room:
+        return _chain_dp(d, top, problems[:room]) + _chain_dp(d, top, problems[room:])
+    pos = [j for j in range(shift) if top >> j & 1]
+    m = len(pos)
+    bits = np.array([1 << j for j in pos], dtype=np.int64)
+    cities = np.array(pos) + 1
+    dist = np.array(d, dtype=np.int64)
+    w = dist[cities][:, cities]  # columns are the cities of top, in order
+    count = len(problems)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for p, (sets, first, _) in enumerate(problems):
+        keys.append(sets[(sets >> (first - 1) & 1 == 1) & (sets != top)] | p << shift)
+    keys = np.concatenate(keys)
+    level = np.bitwise_count(keys & top)
+    keys = keys[np.lexsort((keys, level))]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=m))))
+    # level m is top alone, one row per problem
+    up_keys = np.arange(count, dtype=np.int64) << shift | top
+    up_vals = dist[:, [last for _, _, last in problems]].T[:, cities]
+    entries = np.full(count, m, dtype=np.int64)
+    keys_at, choices_at = [None] * m, [None] * m
+    span = max(1, CHUNK // (m * m))
+    every = np.arange(m)
+    for k in range(m - 1, 0, -1):
+        level_keys = keys[starts[k]:starts[k + 1]]
+        if not len(up_keys):  # no row above reaches top, so none here does
+            level_keys = level_keys[:0]
+        vals = np.empty((len(level_keys), m), dtype=np.int64)
+        choices = np.empty((len(level_keys), m), dtype=np.int8)
+        alive = np.empty(len(level_keys), dtype=bool)
+        for lo in range(0, len(level_keys), span):
+            succ = level_keys[lo:lo + span, None] | bits
+            idx = np.minimum(np.searchsorted(up_keys, succ), len(up_keys) - 1)
+            found = up_keys[idx] == succ
+            cand = w + np.where(found, up_vals[idx, every], SENTINEL)[:, None, :]
+            vals[lo:lo + span] = cand.min(axis=2)
+            choices[lo:lo + span] = cand.argmin(axis=2)
+            alive[lo:lo + span] = found.any(axis=1)
+        up_vals = None  # read in full: free it before this level is compacted
+        if not alive.all():
+            level_keys, vals, choices = level_keys[alive], vals[alive], choices[alive]
+        up_keys, up_vals = level_keys, vals
+        keys_at[k], choices_at[k] = level_keys, choices
+        entries += np.bincount(up_keys >> shift, minlength=count) * k
+    # up_keys and up_vals hold level 1 now; walk from each {first} found there
+    firsts = np.array([first for _, first, _ in problems], dtype=np.int64)
+    key = np.arange(count, dtype=np.int64) << shift | 1 << (firsts - 1)
+    row = np.searchsorted(up_keys, key)
+    solved = np.flatnonzero(row < len(up_keys))
+    solved = solved[up_keys[row[solved]] == key[solved]]
+    row, key = row[solved], key[solved]
+    col = np.searchsorted(cities, firsts[solved])
+    values = up_vals[row, col]
+    order = np.empty((len(solved), m), dtype=np.int64)
+    order[:, 0] = cities[col]
+    for k in range(1, m):
+        col = choices_at[k][row, col]
+        order[:, k] = cities[col]
+        key |= bits[col]
+        if k + 1 < m:
+            row = np.searchsorted(keys_at[k + 1], key)
+    out = [(None, None, e) for e in entries.tolist()]
+    for p, value, tour in zip(solved.tolist(), values.tolist(), order.tolist()):
+        out[p] = value, tuple(tour), out[p][2]
+    return out
 
 
 def _submasks(top, first):
-    """Every subset of top that holds first, in descending numeric order."""
+    """Every subset of top that holds first, as an int64 array."""
     fbit = 1 << (first - 1)
-    rest = top ^ fbit
-    sub = rest
-    while True:
-        yield sub | fbit
-        if not sub:
-            return
-        sub = (sub - 1) & rest
+    subs = np.zeros(1, dtype=np.int64)
+    rest = top & ~fbit
+    while rest:
+        low = rest & -rest
+        subs = np.concatenate((subs, subs | low))
+        rest ^= low
+    return subs | fbit
 
 
 def _fixed_path(d, cities, a, b):
     """Min Hamiltonian path a -> b through cities (a == b closes a cycle):
     the chain DP over every subset of cities that holds a and not b."""
     top = mask_of(cities) & ~(1 << (b - 1)) | 1 << (a - 1)
-    value, order, _ = _chain_dp(d, _submasks(top, a), top, a, b)
+    [(value, order, _)] = _chain_dp(d, top, [(_submasks(top, a), a, b)])
     return value, order + (b,)
 
 
@@ -289,7 +346,7 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
         if hit is not None:
             return hit
         if depth >= switch_depth:
-            if len(cities) <= 7:  # brute force is faster up to 7 cities
+            if len(cities) <= 8:  # brute force is faster up to 8 cities
                 res = _path_brute(d, cities, a, b)
             else:
                 res = _fixed_path(d, cities, a, b)
@@ -386,22 +443,17 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     if trials < 1:
         raise ValueError("need at least one trial")
     half = n // 2
-    total_splits = comb(n, half)
-    cache: dict[tuple, Solution] = {}
-
-    def run(chosen) -> Solution:
-        sol = cache.get(chosen)
-        if sol is None:
-            sol = restricted_dp(inst, split_prefix_system(n, chosen, alpha))
-            cache[chosen] = sol
-        return sol
-
-    if trials >= total_splits:
+    if trials >= comb(n, half):
         splits = combinations(range(1, n + 1), half)
     else:
         gen = SplitMix64(seed)
         splits = (gen.sample(n, half) for _ in range(trials))
-    return _best(run(tuple(chosen)) for chosen in splits)
+    # a repeated draw reuses the first draw's solution, which _best keeps on
+    # the tie, so only the first draw of each split is solved
+    seen = set()
+    fresh = (chosen for chosen in splits if not (chosen in seen or seen.add(chosen)))
+    systems = (split_prefix_system(n, chosen, alpha) for chosen in fresh)
+    return _best(_restricted_sweeps(inst, systems))
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
@@ -447,7 +499,7 @@ def framework_solver(
         return combined
 
     tuples = iter_product(*(range(len(ms)) for ms in member_systems))
-    best = _best(restricted_dp(inst, assemble(t)) for t in tuples)
+    best = _best(_restricted_sweeps(inst, map(assemble, tuples)))
     if best is None:
         raise ValueError("no index tuple admits a tour")
     return best

@@ -13,7 +13,10 @@ from chainfold.constructions import (
 from chainfold.cover import exact_min_cover, greedy_prune, random_cover
 from chainfold.rng import SplitMix64
 from chainfold.solver import (
+    BATCH_ROWS,
+    WEIGHT_BOUND,
     TspInstance,
+    _best,
     _fixed_path,
     _path_brute,
     brute_force,
@@ -26,11 +29,19 @@ from chainfold.solver import (
     random_instance,
     random_split_solver,
     restricted_dp,
+    split_prefix_system,
 )
-from chainfold.systems import CapError, FormatError, SetSystem
+from chainfold.systems import CapError, FormatError, SetSystem, prefix_chain
 
 SEEDS = range(5)
 SIZES = range(4, 9)
+
+
+def _instance(n, seed, low, high):
+    """Seeded instance with weights uniform in [low, high]."""
+    gen = SplitMix64(seed)
+    rows = [[0 if i == j else low + gen.randbelow(high - low + 1) for j in range(n)] for i in range(n)]
+    return TspInstance.from_rows(rows)
 
 
 # --- brute force -------------------------------------------------------------
@@ -155,35 +166,78 @@ def test_restricted_table_stays_within_bound():
     assert 0 < sol.table_entries <= 7 * len(f)
 
 
-@pytest.mark.parametrize("max_weight", [99, 2])
-def test_restricted_matches_supported_enumeration_oracle(max_weight):
+@pytest.mark.parametrize(
+    "low, high",
+    [pytest.param(1, 99, id="99"), pytest.param(1, 2, id="2"), pytest.param(-1, 1, id="negative")],
+)
+def test_restricted_matches_supported_enumeration_oracle(low, high):
     # direct oracle: enumerate every permutation the system supports, take
     # the cheapest cyclic cost with the lexicographically smallest witness;
-    # weights in {1, 2} make that witness the tie-breaker
+    # narrow weight ranges make that witness the tie-breaker.  Each system
+    # holds the prefix-sets of a random permutation, so every case has a tour
     from itertools import permutations
 
-    from chainfold.rng import SplitMix64
     from chainfold.systems import supports
 
     gen = SplitMix64(2024)
     for trial in range(30):
         n = 4 + gen.randbelow(3)
-        inst = random_instance(n, 900 + trial, max_weight=max_weight)
+        inst = _instance(n, 900 + trial, low, high)
         masks = {gen.randbelow(1 << n) for _ in range(gen.randbelow(3 * n) + 2)}
-        if gen.randbelow(2):
-            masks |= {0, (1 << n) - 1}
-        f = SetSystem(n, masks)
-        expected = None
-        for p in permutations(range(1, n + 1)):
-            if supports(f, p):
-                cand = (inst.tour_value(p), p)
-                if expected is None or cand < expected:
-                    expected = cand
+        f = SetSystem(n, masks | set(prefix_chain(gen.permutation(n))))
+        expected = min(
+            (inst.tour_value(p), p) for p in permutations(range(1, n + 1)) if supports(f, p)
+        )
         sol = restricted_dp(inst, f)
-        if expected is None:
-            assert sol is None
-        else:
-            assert (sol.value, sol.tour) == expected
+        assert (sol.value, sol.tour) == expected
+
+
+def test_restricted_on_wide_ground_sets():
+    # masks of 40 and 63 cities leave few bits of an int64 key for the first
+    # city; the oracle walks every chain of the system by depth-first search
+    def supported(f, s=0, perm=()):
+        if s == (1 << f.n) - 1:
+            yield perm
+        for e in range(1, f.n + 1):
+            if not s >> (e - 1) & 1 and s | 1 << (e - 1) in f:
+                yield from supported(f, s | 1 << (e - 1), perm + (e,))
+
+    for n in (40, 63):
+        gen = SplitMix64(n)
+        inst = _instance(n, n, 1, 3)
+        f = SetSystem(n, {m for _ in range(4) for m in prefix_chain(gen.permutation(n))})
+        sol = restricted_dp(inst, f)
+        assert (sol.value, sol.tour) == min((inst.tour_value(p), p) for p in supported(f))
+
+
+@pytest.mark.parametrize("signs", ["mixed", "positive"])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
+    # |w| just under WEIGHT_BOUND // n and two values, so tours tie.  Mixed
+    # signs cancel, positive ones push chain values close to 2^62: a sentinel
+    # that does not stay above every chain value, or a sum that wraps around
+    # int64, changes a value or a witness
+    from itertools import permutations
+
+    from chainfold.systems import supports
+
+    big = WEIGHT_BOUND // n - 1
+    weights = (big, -big) if signs == "mixed" else (big, big - 1)
+    gen = SplitMix64(70 + n)
+    inst = TspInstance.from_rows([[weights[gen.randbelow(2)] for _ in range(n)] for _ in range(n)])
+    tours = [(inst.tour_value(p), p) for p in permutations(range(1, n + 1))]
+    best = min(tours)
+    assert best[1][0] == 1  # every rotation costs the same, so city 1 leads
+    for sol in (held_karp(inst), restricted_dp(inst, powerset(n))):
+        assert (sol.value, sol.tour) == best
+    gen = SplitMix64(n)
+    f = SetSystem(n, {gen.randbelow(1 << n) for _ in range(3 * n)} | set(prefix_chain(gen.permutation(n))))
+    sol = restricted_dp(inst, f)
+    assert (sol.value, sol.tour) == min(t for t in tours if supports(f, t[1]))
+    for a, b in ((1, n), (n, 1), (2, 2)):
+        paths = [(a, *p, b) for p in permutations(set(range(1, n + 1)) - {a, b})]
+        expected = min((sum(inst.dist[x][y] for x, y in zip(t, t[1:])), t) for t in paths)
+        assert _fixed_path(inst.dist, range(1, n + 1), a, b) == expected
 
 
 # --- gurevich-shelah ---------------------------------------------------------------
@@ -236,6 +290,47 @@ def test_warmup_prescribed_trials_statistical_regression():
         if random_split_solver(inst, alpha, trials=trials, seed=s).value == ref
     )
     assert hits == len(seeds)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
+    # the split and framework solvers sweep many systems at once; each must
+    # return _best of one restricted_dp per system, table_entries included,
+    # and a mixed stream of systems must give restricted_dp of each, in
+    # order, whether a sweep holds one first city or many systems
+    from functools import reduce
+    from itertools import combinations, product
+
+    from chainfold import solver, verify
+    from chainfold.systems import union_product
+
+    inst = random_instance(n, 40 + n, max_weight=2)
+    half = n // 2
+    gen = SplitMix64(3)
+    drawn = [gen.sample(n, half) for _ in range(comb(n, half) - 1)]
+    assert len(set(drawn)) < len(drawn)  # the sampled run meets repeated draws
+    exhaustive = list(combinations(range(1, n + 1), half))
+    block_size, families = verify.framework_plan(n)
+    tuples = product(*(fam.systems() for fam in families))
+    full = (1 << n) - 1
+    mixed = [powerset(n), SetSystem(n, [0, full]), single_chain(n), SetSystem(n, [0, 1, 3])]
+    mixed += [SetSystem(n, {gen.randbelow(full) for _ in range(4 * n)} | set(prefix_chain(gen.permutation(n))))
+              for _ in range(6)]
+    expected = {
+        "exhaustive": _best(restricted_dp(inst, split_prefix_system(n, c, 0.445)) for c in exhaustive),
+        "sampled": _best(restricted_dp(inst, split_prefix_system(n, c, 0.3)) for c in drawn),
+        "framework": _best(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
+        "mixed": [restricted_dp(inst, f) for f in mixed],
+    }
+    for batch_rows in (1, 3 << n, BATCH_ROWS):
+        monkeypatch.setattr(solver, "BATCH_ROWS", batch_rows)
+        got = {
+            "exhaustive": random_split_solver(inst, 0.445, comb(n, half), seed=0),
+            "sampled": random_split_solver(inst, 0.3, comb(n, half) - 1, seed=3),
+            "framework": framework_solver(inst, block_size, families),
+            "mixed": list(solver._restricted_sweeps(inst, mixed)),
+        }
+        assert got == expected
 
 
 def test_warmup_validation():
