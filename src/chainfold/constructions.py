@@ -41,7 +41,7 @@ whole predicate exhaustively at small n.
 import math
 from itertools import combinations
 
-from .systems import CapError, SetSystem, mask_of, popcount
+from .systems import GROUND_CAP, CapError, SetSystem, mask_of
 
 TOWER_LEVEL_CAP = 28  # per-level 2^t enumeration
 
@@ -71,8 +71,8 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
     if t > TOWER_LEVEL_CAP:
         raise CapError(f"antichain size {t} exceeds per-level cap {TOWER_LEVEL_CAP}")
     n = t * k
-    if n > 63:
-        raise CapError(f"ground set {n} exceeds cap 63")
+    if n > GROUND_CAP:
+        raise CapError(f"ground set {n} exceeds cap {GROUND_CAP}")
     masks = set()
     for j in range(k):
         base = (1 << (j * t)) - 1
@@ -85,6 +85,39 @@ def koivisto_parviainen() -> SetSystem:
     """The n=26 two-block system behind the previous best tradeoff point
     (ST about 3.93); identical to tower_of_cubes(13, 2)."""
     return tower_of_cubes(13, 2)
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    out = [mask]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        out.append(sub)
+    return out
+
+
+def split_system(n: int, chosen, t: int) -> SetSystem:
+    """Minimal system supporting the permutations of [n] whose first t
+    entries are chosen and whose last t are not (t at most the size of
+    either side, so that such permutations exist).
+
+    Subsets of the chosen cities, the chosen cities plus any subset of the
+    rest, and the band of sets holding at least t chosen cities and missing
+    at least t of the rest.
+    """
+    cmask = mask_of(chosen)
+    rest = ((1 << n) - 1) ^ cmask
+    lows = _submasks(cmask)
+    highs = _submasks(rest)
+    cap = rest.bit_count() - t
+    band_highs = [b for b in highs if b.bit_count() <= cap]
+    masks = set(lows)
+    masks.update(cmask | b for b in highs)
+    for a in lows:
+        if a.bit_count() >= t:
+            masks.update(a | b for b in band_highs)
+    return SetSystem(n, masks)
 
 
 def split_band_system(k: int, beta: float) -> SetSystem:
@@ -100,23 +133,10 @@ def split_band_system(k: int, beta: float) -> SetSystem:
         raise ValueError("split_band_system needs k >= 1")
     if not 0.5 <= beta <= 1.0:
         raise ValueError(f"beta must be in [1/2, 1], got {beta}")
-    if k > TOWER_LEVEL_CAP or 2 * k > 63:
+    if k > TOWER_LEVEL_CAP or 2 * k > GROUND_CAP:
         raise CapError(f"block size {k} exceeds enumeration caps")
     t = math.ceil(beta * k - 1e-12)  # |s1| >= beta*k over integers
-    full_low = (1 << k) - 1
-    masks = set()
-    for sub in range(1 << k):
-        masks.add(sub)  # lower powerset
-        masks.add(full_low | (sub << k))  # upper translates
-    lows = list(range(1, k + 1))
-    highs = list(range(k + 1, 2 * k + 1))
-    for a in range(t, k + 1):
-        for s1 in combinations(lows, a):
-            m1 = mask_of(s1)
-            for b in range(0, k - t + 1):
-                for s2 in combinations(highs, b):
-                    masks.add(m1 | mask_of(s2))
-    return SetSystem(2 * k, masks)
+    return split_system(2 * k, range(1, k + 1), t)
 
 
 def _floored(n: int, x: float) -> int:
@@ -219,7 +239,7 @@ def core_prefix_system(n: int, alpha: float, beta: float) -> SetSystem:
     masks = [
         m
         for m in range(1 << n)
-        if (m & ~core == 0 and popcount(m) <= bn) or popcount(m & core) >= bn
+        if (m & ~core == 0 and m.bit_count() <= bn) or (m & core).bit_count() >= bn
     ]
     return SetSystem(n, masks)
 

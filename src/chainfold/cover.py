@@ -37,6 +37,7 @@ from .systems import (
     count_chains,
     dump_system,
     load_system,
+    prefix_chain,
     relabel,
     supports,
 )
@@ -196,9 +197,9 @@ def exact_min_cover(base: SetSystem) -> CoverFamily:
             bits |= 1 << index[tuple(sigma[v - 1] for v in tau)]
         if bits not in seen:
             seen[bits] = sigma
-    cands = sorted(seen.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
+    cands = sorted(seen.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
     cand_bits = [b for b, _ in cands]
-    max_gain = max(bin(b).count("1") for b in cand_bits)
+    max_gain = max(b.bit_count() for b in cand_bits)
 
     best: list[int] = []
     best_size = len(cand_bits) + 1
@@ -210,7 +211,7 @@ def exact_min_cover(base: SetSystem) -> CoverFamily:
                 best_size = len(chosen)
                 best = list(chosen)
             return
-        need = -(-bin(uncov).count("1") // max_gain)
+        need = -(-uncov.bit_count() // max_gain)
         if len(chosen) + need >= best_size:
             return
         # branch on the uncovered permutation with fewest candidates
@@ -241,23 +242,12 @@ def regularly_intersecting(f1: SetSystem, f2: SetSystem):
     s2 = supported_set(f2)
     forbidden = set()
     for p in s1 - s2:
-        m = 0
-        forbidden.add(m)
-        for v in p:
-            m |= 1 << (v - 1)
-            forbidden.add(m)
+        forbidden.update(prefix_chain(p))
     candidate = (f1.mask_set() & f2.mask_set()) - forbidden
     for p in s1 & s2:
-        m = 0
-        if m in candidate:
-            continue
-        for v in p:
-            m |= 1 << (v - 1)
-            if m in candidate:
-                break
-        else:
+        if candidate.isdisjoint(prefix_chain(p)):
             return None
-    return tuple(sorted(candidate, key=lambda m: (bin(m).count("1"), m)))
+    return tuple(sorted(candidate, key=lambda m: (m.bit_count(), m)))
 
 
 def regularly_self_intersecting(f: SetSystem) -> bool:
@@ -302,7 +292,7 @@ def make_unique(family: CoverFamily) -> CoverFamily:
             if witness is None:
                 raise ValueError(f"members {i} and {k} are not regularly intersecting")
             drop.update(witness)
-        removed.append(tuple(sorted(drop, key=lambda m: (bin(m).count("1"), m))))
+        removed.append(tuple(sorted(drop, key=lambda m: (m.bit_count(), m))))
     return CoverFamily(base, family.relabelings, unique_mode=True, removed=tuple(removed))
 
 

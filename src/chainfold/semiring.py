@@ -215,6 +215,8 @@ class Poset:
     def from_relations(n: int, relations) -> "Poset":
         """Build from covering relations (a, b) meaning a precedes b;
         transitive closure computed here, cycles rejected."""
+        if n < 0:
+            raise ValueError("ground-set size must be nonnegative")
         preds = [0] * (n + 1)
         for a, b in relations:
             if not (1 <= a <= n and 1 <= b <= n):

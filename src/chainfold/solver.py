@@ -35,7 +35,10 @@ The callers differ only in the problems they hand the engine:
     stream them through the same sweeps, so neither builds its whole list
     of systems at once.  A sweep takes problems until it holds about
     BATCH_ROWS candidate rows, so a large system's first cities are split
-    over several sweeps and its tables are never all alive together.
+    over several sweeps and its tables are never all alive together.  The
+    split systems come from constructions.split_system, the one builder
+    behind the warm-up split_band_system too; split_prefix_system only
+    turns alpha into its threshold.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah recursively guesses the first half of the tour and
@@ -49,6 +52,7 @@ from math import comb
 
 import numpy as np
 
+from .constructions import split_system
 from .cover import CoverFamily, covers_all
 from .rng import SplitMix64
 from .systems import CapError, FormatError, SetSystem, mask_of, union_product
@@ -398,33 +402,7 @@ def split_prefix_system(n: int, chosen, alpha: float) -> SetSystem:
     chosen half, supersets of it, and the middle band where at least
     floor(alpha*n) chosen cities are visited and at least floor(alpha*n)
     unchosen ones remain."""
-    t = int(alpha * n + 1e-9)
-    chosen = tuple(sorted(chosen))
-    others = tuple(v for v in range(1, n + 1) if v not in set(chosen))
-    cmask = mask_of(chosen)
-    masks = set()
-    sub = cmask
-    while True:  # all submasks of the chosen half
-        masks.add(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & cmask
-    full = (1 << n) - 1
-    rest = full ^ cmask
-    sub = rest
-    while True:  # chosen half plus any subset of the rest
-        masks.add(cmask | sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    cap2 = len(others) - t
-    for i in range(t, len(chosen) + 1):
-        for s1 in combinations(chosen, i):
-            m1 = mask_of(s1)
-            for j in range(0, cap2 + 1):
-                for s2 in combinations(others, j):
-                    masks.add(m1 | mask_of(s2))
-    return SetSystem(n, masks)
+    return split_system(n, chosen, int(alpha * n + 1e-9))
 
 
 def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int) -> Solution:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-POWERSET_CAP = 28  # full-powerset enumeration refuses larger ground sets
 GROUND_CAP = 63  # sparse systems stay within one machine word
 ORACLE_CAP = 10  # n! enumeration oracles
 
@@ -41,10 +40,6 @@ class EmptyGroundSetError(ValueError):
 
 class FormatError(ValueError):
     """A serialized artifact violates its file format or invariants."""
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def mask_of(elems) -> int:
@@ -90,7 +85,7 @@ class SetSystem:
                 raise ValueError(f"mask {m:#x} outside ground set [{n}]")
             if m not in seen:
                 seen.add(m)
-                levels[popcount(m)].append(m)
+                levels[m.bit_count()].append(m)
         self.n = n
         self.levels = tuple(tuple(sorted(lv)) for lv in levels)
         self._mask_set = frozenset(seen)
@@ -234,21 +229,7 @@ def supported_permutation_count(f: SetSystem) -> int:
     """
     if f.n > ORACLE_CAP:
         raise CapError(f"n={f.n} too large for the n! enumeration oracle")
-    ms = f.mask_set()
-    if 0 not in ms:
-        return 0
-    count = 0
-    for perm in iter_permutations(range(1, f.n + 1)):
-        m = 0
-        ok = True
-        for v in perm:
-            m |= 1 << (v - 1)
-            if m not in ms:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(supports(f, p) for p in iter_permutations(range(1, f.n + 1)))
 
 
 def union_product(f1: SetSystem, f2: SetSystem) -> SetSystem:
@@ -307,11 +288,7 @@ def closure_from_permutations(n: int, perms) -> SetSystem:
     masks = set()
     for p in perms:
         check_permutation(p, n)
-        m = 0
-        masks.add(m)
-        for v in p:
-            m |= 1 << (v - 1)
-            masks.add(m)
+        masks.update(prefix_chain(p))
     return SetSystem(n, masks)
 
 
@@ -376,7 +353,7 @@ def load_system(path) -> SetSystem:
             raise FormatError(f"{path}: bad hex mask {ln!r}") from None
         if m < 0 or m >= 1 << n:
             raise FormatError(f"{path}: mask {ln} outside ground set [{n}]")
-        key = (popcount(m), m)
+        key = (m.bit_count(), m)
         if prev_key is not None and key <= prev_key:
             raise FormatError(f"{path}: masks not ascending by (popcount, value)")
         prev_key = key

@@ -201,6 +201,14 @@ def test_count_le_corrupted_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_count_le_negative_ground_set_exits_2(capsys, tmp_path):
+    poset = tmp_path / "negative.po"
+    poset.write_text("n -1\n")
+    for argv in (["count-le"], ["eval", "--problem", "le", "--method", "brute"]):
+        code, out = run_cli(capsys, *argv, "--poset", str(poset))
+        assert code == 2 and out == ""
+
+
 def test_eval_le_brute_and_dp_agree(capsys, tmp_path):
     poset = tmp_path / "p.po"
     poset.write_text("n 4\n1 < 3\n2 < 3\n")

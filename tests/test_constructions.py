@@ -19,6 +19,8 @@ from chainfold.constructions import (
     split_band_system,
     tower_of_cubes,
 )
+from chainfold.rng import SplitMix64
+from chainfold.solver import split_prefix_system
 from chainfold.systems import (
     CapError,
     closure_from_permutations,
@@ -133,6 +135,29 @@ def test_band_parameter_validation():
         split_band_system(4, 0.3)
     with pytest.raises(CapError):
         split_band_system(30, 0.9)
+
+
+# --- split prefix system (the one split builder) --------------------------------
+
+@pytest.mark.parametrize("alpha", [0, 0.2, 0.3, 0.445, 0.5])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_split_prefix_matches_closure_oracle(n, alpha):
+    # the minimal system supporting the permutations whose first t cities
+    # are chosen and whose last t are not, t = floor(alpha*n)
+    chosen = SplitMix64(n).sample(n, n // 2)
+    t = int(alpha * n + 1e-9)
+    qualifying = [
+        p for p in permutations(range(1, n + 1))
+        if all(v in chosen for v in p[:t]) and not any(v in chosen for v in p[n - t:])
+    ]
+    assert split_prefix_system(n, chosen, alpha) == closure_from_permutations(n, qualifying)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.6, 0.75, 0.889972, 1.0])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_split_prefix_on_the_lower_block_is_the_band_system(k, beta):
+    t = math.ceil(beta * k - 1e-12)
+    assert split_prefix_system(2 * k, range(1, k + 1), t / (2 * k)) == split_band_system(k, beta)
 
 
 # --- banded prefix system ------------------------------------------------------

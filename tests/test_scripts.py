@@ -1,0 +1,58 @@
+"""Smoke checks for the reports under scripts/: exit code and final line."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from chainfold import solver
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,args,last_line",
+    [
+        ("solver_race.py", ["--n", "7"], "all agree"),
+        ("finite_size_scan.py", ["--sizes", "8,12"], "extremal at these sizes."),
+        ("tradeoff_report.py", ["--grid", "64"], "min lower-bound S T = 3.000000 (>= 3)"),
+    ],
+)
+def test_script_runs(name, args, last_line):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].strip() == last_line
+
+
+def test_solver_race_exits_1_on_disagreement(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("solver_race", SCRIPTS / "solver_race.py")
+    race = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(race)
+    held_karp = solver.held_karp
+
+    def wrong_held_karp(inst):
+        sol = held_karp(inst)
+        return solver.Solution(sol.value + 1, sol.tour, sol.table_entries)
+
+    monkeypatch.setattr(solver, "held_karp", wrong_held_karp)
+    monkeypatch.setattr(sys, "argv", ["solver_race.py", "--n", "7"])
+    assert race.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("DISAGREEMENT: ")

@@ -319,3 +319,6 @@ def test_poset_file_rejects(tmp_path):
     path.write_text("n 3\n1 < 2\n2 < 1\n")
     with pytest.raises(FormatError):
         load_poset(path)
+    path.write_text("n -1\n")  # a negative ground set
+    with pytest.raises(FormatError):
+        load_poset(path)
