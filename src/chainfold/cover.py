@@ -20,11 +20,20 @@ manufactured by subtracting, from each member i, the union of its witnesses
 against all earlier members -- exactly once per ordered pair, in index order,
 making the result deterministic.
 
-Everything here is enumeration-verified and therefore capped at small n.
+Both unique-mode properties are certified by counting maximal chains, never
+by listing permutations.  With C the chain count (systems.count_chains),
+a family supports every permutation exactly once iff the C(F_i) sum to n!
+and every C(F_i ∩ F_j) is 0.  The permutations supported by F whose chain
+passes through s number up_F(s) * down_F(s), the chain counts from ∅ to s
+and from s to [n]; s lies on no chain supported by F1 but not F2 iff that
+product is the same for F1 and for F1 ∩ F2.  Coverage itself has no such
+counting form: covers_all, random_cover, greedy_prune and exact_min_cover
+still enumerate the n! permutations, and regularly_self_intersecting the n!
+relabelings, so those are capped at small n.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations
 from math import ceil, factorial
 from os import path as os_path
 
@@ -33,18 +42,19 @@ from .systems import (
     CapError,
     FormatError,
     SetSystem,
+    chain_counts,
     check_permutation,
     count_chains,
     dump_system,
     load_system,
-    prefix_chain,
     relabel,
+    relabeling_orbit,
     supports,
 )
 
 COVER_CAP = 10  # coverage verified by enumerating all n! permutations
-REGULAR_CAP = 8  # pairwise witness search enumerates permutations
 SELF_INTERSECT_CAP = 6  # all n! relabelings checked
+EXACT_ONCE_BUDGET = 10**7  # k(k-1)/2 * |F|; at most about 4 us each, so under a minute
 
 
 @dataclass
@@ -92,15 +102,20 @@ def covers_all(family: CoverFamily) -> bool:
 
 
 def exactly_once(family: CoverFamily) -> bool:
-    """Exhaustive unique-mode check: every permutation hits one member.
-    Cached on the family, like its member systems."""
+    """Unique-mode check: every permutation is supported by exactly one
+    member, i.e. the members' chain counts sum to n! and no two members
+    share a chain.  Cached on the family, like its member systems; refused
+    with CapError when the k(k-1)/2 pairwise counts over |F| sets exceed
+    EXACT_ONCE_BUDGET."""
     if family._exactly_once is None:
         n = family.base.n
-        if n > COVER_CAP:
-            raise CapError(f"uniqueness check enumerates {n}! permutations; cap {COVER_CAP}")
         members = family.systems()
-        family._exactly_once = all(
-            sum(1 for g in members if supports(g, p)) == 1 for p in _all_perms(n)
+        work = len(members) * (len(members) - 1) // 2 * len(family.base)
+        if work > EXACT_ONCE_BUDGET:
+            raise CapError(f"uniqueness check costs {work}; budget {EXACT_ONCE_BUDGET}")
+        family._exactly_once = sum(count_chains(g) for g in members) == factorial(n) and all(
+            count_chains(SetSystem(n, a.mask_set() & b.mask_set())) == 0
+            for a, b in combinations(members, 2)
         )
     return family._exactly_once
 
@@ -232,22 +247,26 @@ def regularly_intersecting(f1: SetSystem, f2: SetSystem):
     None when no witness exists.
 
     Returns the witness as a sorted tuple of masks; the empty tuple is a
-    valid witness when no permutation is supported by both systems.
+    valid witness when no permutation is supported by both systems.  G*
+    keeps the sets of F1 ∩ F2 through which F1 and F1 ∩ F2 route equally
+    many supported chains; it is a witness iff no chain avoids it.
     """
     if f1.n != f2.n:
         raise ValueError("ground-set mismatch")
-    if f1.n > REGULAR_CAP:
-        raise CapError(f"witness search enumerates permutations; cap {REGULAR_CAP}")
-    s1 = supported_set(f1)
-    s2 = supported_set(f2)
-    forbidden = set()
-    for p in s1 - s2:
-        forbidden.update(prefix_chain(p))
-    candidate = (f1.mask_set() & f2.mask_set()) - forbidden
-    for p in s1 & s2:
-        if candidate.isdisjoint(prefix_chain(p)):
-            return None
-    return tuple(sorted(candidate, key=lambda m: (m.bit_count(), m)))
+    f12 = SetSystem(f1.n, f1.mask_set() & f2.mask_set())
+    through1, through12 = _chains_through(f1), _chains_through(f12)
+    candidate = tuple(m for m in f12.masks if through1.get(m, 0) == through12.get(m, 0))
+    if count_chains(SetSystem(f1.n, f12.mask_set().difference(candidate))):
+        return None
+    return candidate
+
+
+def _chains_through(f: SetSystem) -> dict:
+    """{s: number of chains of f passing through s}: the chains from ∅ to s
+    times those from s to [n], the latter counted from ∅ in the complements."""
+    full = (1 << f.n) - 1
+    down = chain_counts(SetSystem(f.n, (full ^ m for m in f.masks)))
+    return {s: c * down.get(full ^ s, 0) for s, c in chain_counts(f).items()}
 
 
 def regularly_self_intersecting(f: SetSystem) -> bool:
@@ -255,34 +274,20 @@ def regularly_self_intersecting(f: SetSystem) -> bool:
     (exhaustive over distinct images; n capped)."""
     if f.n > SELF_INTERSECT_CAP:
         raise CapError(f"self-intersection checks {f.n}! relabelings; cap {SELF_INTERSECT_CAP}")
-    seen = set()
-    for sigma in _all_perms(f.n):
-        g = relabel(f, sigma)
-        key = g.mask_set()
-        if key in seen:
-            continue
-        seen.add(key)
-        if regularly_intersecting(f, g) is None:
-            return False
-    return True
+    images, _ = relabeling_orbit(f)
+    return all(regularly_intersecting(f, SetSystem(f.n, g)) is not None for g in images)
 
 
 def make_unique(family: CoverFamily) -> CoverFamily:
-    """Turn a covering family over a regularly self-intersecting base into a
+    """Turn a covering family whose members are pairwise regularly
+    intersecting (as over a regularly self-intersecting base) into a
     unique-support family.
 
     Member i drops the union of its maximal witnesses against members k < i;
     the witness clauses guarantee each permutation survives in exactly the
-    first member that supported it.
+    first member that supported it.  The result is then certified with
+    exactly_once, which fails only when the input missed some permutation.
     """
-    base = family.base
-    n = base.n
-    if n > SELF_INTERSECT_CAP:
-        raise CapError(f"make_unique enumerates permutations; cap {SELF_INTERSECT_CAP}")
-    if not regularly_self_intersecting(base):
-        raise ValueError("base is not regularly self-intersecting")
-    if not covers_all(family):
-        raise ValueError("family does not cover all permutations")
     members = family.systems()
     removed = [()]
     for i in range(1, len(members)):
@@ -293,7 +298,10 @@ def make_unique(family: CoverFamily) -> CoverFamily:
                 raise ValueError(f"members {i} and {k} are not regularly intersecting")
             drop.update(witness)
         removed.append(tuple(sorted(drop, key=lambda m: (m.bit_count(), m))))
-    return CoverFamily(base, family.relabelings, unique_mode=True, removed=tuple(removed))
+    unique = CoverFamily(family.base, family.relabelings, unique_mode=True, removed=tuple(removed))
+    if not exactly_once(unique):
+        raise ValueError("family does not cover all permutations")
+    return unique
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +324,9 @@ def dump_family(family: CoverFamily, path, base_path) -> None:
 
 
 def load_family(path) -> CoverFamily:
-    """Read a family file.  A unique-mode claim is verified by enumeration
-    (FormatError when some permutation is not supported exactly once) and
-    refused with CapError above COVER_CAP, where it cannot be checked."""
+    """Read a family file.  A unique-mode claim is verified with
+    exactly_once: FormatError when some permutation is not supported exactly
+    once, CapError when the check exceeds EXACT_ONCE_BUDGET."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("base ") or not lines[1].startswith("mode "):

@@ -17,7 +17,8 @@ Three evaluators, strongest preconditions last:
   covering family, combined with (+).  Restricted needs an additively
   idempotent semiring (overlapping members would otherwise double-count);
   unique accepts any semiring because each permutation is supported exactly
-  once, which it verifies by enumeration (once per family) before summing.
+  once, which it certifies by counting chains (once per family, see
+  cover.exactly_once) before summing.
 
 Degree is capped at 3: the DP state carries the last d-1 entries, and beyond
 that the state blowup defeats the desk-scale purpose.
@@ -29,7 +30,7 @@ from itertools import permutations as iter_permutations
 from math import inf
 
 from .cover import CoverFamily, exactly_once
-from .systems import CapError, FormatError
+from .systems import GROUND_CAP, CapError, FormatError
 
 DEGREE_CAP = 3
 BRUTE_CAP = 8
@@ -166,8 +167,8 @@ def evaluate_restricted(p: PermutationProblem, family: CoverFamily):
 
 def evaluate_unique(p: PermutationProblem, family: CoverFamily):
     """Sum the per-member restricted DPs of an exact-once family; correct
-    over arbitrary semirings.  The unique-mode claim is verified by
-    enumeration (cached on the family) before any member is summed."""
+    over arbitrary semirings.  The unique-mode claim is verified with
+    exactly_once (cached on the family) before any member is summed."""
     if not family.unique_mode:
         raise ValueError("evaluate_unique needs a unique-mode family")
     if not exactly_once(family):
@@ -307,6 +308,8 @@ def load_poset(path) -> Poset:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise FormatError(f"{path}: bad header: {exc}") from None
+    if n > GROUND_CAP:
+        raise CapError(f"{path}: ground set {n} exceeds cap {GROUND_CAP}")
     relations = []
     for ln in lines[1:]:
         parts = ln.split()

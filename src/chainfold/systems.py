@@ -180,16 +180,17 @@ def supports(f: SetSystem, perm) -> bool:
     return True
 
 
-def count_chains(f: SetSystem) -> int:
-    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] within f.
-
-    Level-by-level path-count DP; each set's count is the sum over its
-    single-element-removed predecessors.
+def _chain_levels(f: SetSystem):
+    """Path-count DP, one level at a time: yields {set: number of chains
+    from ∅ to it within f} over the level's sets that some chain reaches,
+    from ∅ up, and stops at the first level no chain reaches.  Each set's
+    count is the sum over its single-element-removed predecessors.
     """
-    if not f.levels[0]:
-        return 0
-    paths = {0: 1}
+    paths = {0: 1} if f.levels[0] else {}
     for lv in f.levels[1:]:
+        if not paths:
+            return
+        yield paths
         nxt = {}
         for m in lv:
             total = 0
@@ -203,9 +204,25 @@ def count_chains(f: SetSystem) -> int:
             if total:
                 nxt[m] = total
         paths = nxt
-        if not paths:
-            return 0
+    yield paths
+
+
+def count_chains(f: SetSystem) -> int:
+    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] within f.
+
+    Keeps only the last level of the path-count DP, so at most two levels
+    are held at a time.
+    """
+    paths = {}
+    for paths in _chain_levels(f):
+        pass
     return paths.get((1 << f.n) - 1, 0)
+
+
+def chain_counts(f: SetSystem) -> dict:
+    """{set: number of chains from ∅ to it within f} over the sets of f that
+    some chain from ∅ reaches (sets it misses are absent)."""
+    return {m: c for paths in _chain_levels(f) for m, c in paths.items()}
 
 
 def metrics(f: SetSystem) -> Metrics:

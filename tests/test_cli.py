@@ -154,6 +154,11 @@ def test_cover_unique_roundtrip(capsys, tmp_path):
     assert fam.unique_mode
 
 
+def test_cover_unique_beyond_enumeration_cap(capsys):
+    code, out = run_cli(capsys, "cover", "--base", "thm45:7,0.715,0.43", "--prune", "--unique")
+    assert code == 0 and "mode unique" in out
+
+
 def test_cover_seed_determinism(capsys, tmp_path):
     paths = []
     for name in ("a.cf", "b.cf"):
@@ -207,6 +212,13 @@ def test_count_le_negative_ground_set_exits_2(capsys, tmp_path):
     for argv in (["count-le"], ["eval", "--problem", "le", "--method", "brute"]):
         code, out = run_cli(capsys, *argv, "--poset", str(poset))
         assert code == 2 and out == ""
+
+
+def test_count_le_huge_ground_set_exits_3(capsys, tmp_path):
+    poset = tmp_path / "huge.po"
+    poset.write_text("n 20000000\n1 < 2\n")
+    code, out = run_cli(capsys, "count-le", "--poset", str(poset))
+    assert code == 3 and out == ""
 
 
 def test_eval_le_brute_and_dp_agree(capsys, tmp_path):

@@ -6,14 +6,15 @@ from math import factorial
 
 import pytest
 
+from chainfold import cover
 from chainfold.constructions import (
     core_prefix_system,
     powerset,
     single_chain,
+    split_band_system,
     tower_of_cubes,
 )
 from chainfold.cover import (
-    COVER_CAP,
     CoverFamily,
     covers_all,
     dump_family,
@@ -33,6 +34,7 @@ from chainfold.systems import (
     CapError,
     FormatError,
     SetSystem,
+    closure_from_permutations,
     count_chains,
     dump_system,
     mask_of,
@@ -40,6 +42,36 @@ from chainfold.systems import (
     relabel,
     supports,
 )
+
+
+# --- enumeration oracles ------------------------------------------------------
+# Both unique-mode properties by listing all n! permutations: the judges of
+# the chain-count certificates in exactly_once and regularly_intersecting.
+
+def _exactly_once_by_enumeration(family):
+    n = family.base.n
+    members = family.systems()
+    return all(
+        sum(1 for g in members if supports(g, p)) == 1
+        for p in permutations(range(1, n + 1))
+    )
+
+
+def _witness_by_enumeration(f1, f2):
+    s1, s2 = supported_set(f1), supported_set(f2)
+    forbidden = set()
+    for p in s1 - s2:
+        forbidden.update(prefix_chain(p))
+    candidate = (f1.mask_set() & f2.mask_set()) - forbidden
+    for p in s1 & s2:
+        if candidate.isdisjoint(prefix_chain(p)):
+            return None
+    return tuple(sorted(candidate, key=lambda m: (m.bit_count(), m)))
+
+
+def _random_closure(gen, n):
+    perms = [gen.permutation(n) for _ in range(1 + gen.randbelow(5))]
+    return closure_from_permutations(n, perms)
 
 
 # --- random_cover -----------------------------------------------------------
@@ -149,6 +181,29 @@ def test_self_intersection_cap():
         regularly_self_intersecting(powerset(7))
 
 
+def test_witness_matches_enumeration_oracle():
+    gen = SplitMix64(606)
+    bases = [
+        core_prefix_system(4, 3 / 4, 1 / 2),
+        core_prefix_system(5, 0.8, 0.4),
+        core_prefix_system(6, 2 / 3, 1 / 3),
+        core_prefix_system(7, 0.715, 0.43),
+        tower_of_cubes(2, 2),
+        tower_of_cubes(3, 2),
+        split_band_system(2, 0.5),
+        split_band_system(3, 0.6),
+    ] + [_random_closure(gen, 3 + gen.randbelow(5)) for _ in range(12)]
+    outcomes = {True: 0, False: 0}
+    for base in bases:
+        for _ in range(6):
+            g = relabel(base, gen.permutation(base.n))
+            expected = _witness_by_enumeration(base, g)
+            assert regularly_intersecting(base, g) == expected
+            outcomes[expected is None] += 1
+    # both answers occur, so neither branch of the certificate goes untested
+    assert outcomes[True] >= 10 and outcomes[False] >= 50
+
+
 def test_witness_outcome_symmetric_within_isomorphism_class():
     f = core_prefix_system(5, 0.8, 0.4)
     for sigma in [(2, 3, 4, 5, 1), (5, 4, 3, 2, 1), (1, 3, 2, 5, 4)]:
@@ -192,13 +247,71 @@ def test_tower_is_self_intersecting_via_disjoint_supports():
 
 
 def test_make_unique_requires_self_intersecting_base():
-    from chainfold.systems import closure_from_permutations
-
     base = closure_from_permutations(4, [(1, 3, 4, 2), (2, 3, 4, 1), (3, 4, 1, 2)])
     assert not regularly_self_intersecting(base)
     fam = greedy_prune(random_cover(base, seed=7, max_tries=5000))
     with pytest.raises(ValueError):
         make_unique(fam)
+
+
+def test_make_unique_accepts_pairwise_regular_members_of_irregular_base():
+    # the base is not regularly self-intersecting, but these three members
+    # are pairwise regularly intersecting, which is all the removals need
+    base = closure_from_permutations(4, [(1, 4, 3, 2), (2, 3, 4, 1), (2, 4, 1, 3), (3, 1, 2, 4)])
+    assert not regularly_self_intersecting(base)
+    fam = greedy_prune(random_cover(base, seed=2, max_tries=5000))
+    uf = make_unique(fam)
+    assert len(uf) == 3
+    assert exactly_once(uf)
+    assert _exactly_once_by_enumeration(uf)
+
+
+def test_make_unique_refuses_incomplete_cover():
+    base = core_prefix_system(5, 0.8, 0.4)
+    fam = greedy_prune(random_cover(base, seed=3, max_tries=500))
+    partial = CoverFamily(base, fam.relabelings[:-1])
+    with pytest.raises(ValueError, match="does not cover"):
+        make_unique(partial)
+
+
+def _corruptions(uf):
+    """Unique-mode families that each break exact-once in one way."""
+    rel, rm = uf.relabelings, uf.removed
+    out = [CoverFamily(uf.base, rel + rel[-1:], True, rm + rm[-1:])]  # member duplicated
+    if len(rel) > 1:
+        out.append(CoverFamily(uf.base, rel[:-1], True, rm[:-1]))  # member dropped
+        # one member replaced by a copy of another: the chain counts can
+        # still sum to n!, so only the pairwise check catches it
+        out.append(CoverFamily(uf.base, rel[:1] + rel[:1] + rel[2:], True, rm[:1] + rm[:1] + rm[2:]))
+    for j, masks in enumerate(rm):
+        if masks:  # one removal dropped
+            out.append(CoverFamily(uf.base, rel, True, rm[:j] + (masks[1:],) + rm[j + 1:]))
+            break
+    return out
+
+
+def test_exactly_once_matches_enumeration_oracle():
+    cases = []
+    for seed, base in enumerate([
+        single_chain(3),
+        powerset(3),
+        tower_of_cubes(2, 2),
+        core_prefix_system(4, 3 / 4, 1 / 2),
+        core_prefix_system(5, 0.8, 0.4),
+        core_prefix_system(6, 2 / 3, 1 / 3),
+    ]):
+        plain = random_cover(base, seed=seed, max_tries=5000)
+        pruned = greedy_prune(plain)
+        uf = make_unique(pruned)
+        cases += [CoverFamily(base, plain.relabelings, True), CoverFamily(base, pruned.relabelings, True)]
+        cases += [CoverFamily(base, uf.relabelings, True, uf.removed)]
+        cases += _corruptions(uf)
+    outcomes = {True: 0, False: 0}
+    for fam in cases:
+        expected = _exactly_once_by_enumeration(fam)
+        assert exactly_once(fam) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] >= 8 and outcomes[False] >= 20
 
 
 # --- support-probability sanity ----------------------------------------------------
@@ -276,8 +389,19 @@ def test_family_file_rejects_false_unique_claim(tmp_path):
         load_family(path)
 
 
-def test_family_file_refuses_unique_claim_above_cap(tmp_path):
-    n = COVER_CAP + 1
-    path = _unique_family_file(tmp_path, single_chain(n), [tuple(range(1, n + 1))])
+def test_family_file_checks_unique_claim_beyond_enumeration(tmp_path):
+    # at n = 11 no n! enumeration runs; the claim is checked by chain counts
+    identity = tuple(range(1, 12))
+    loaded = load_family(_unique_family_file(tmp_path, powerset(11), [identity]))
+    assert loaded.unique_mode and exactly_once(loaded)
+    for base, relabelings in ((powerset(11), [identity, identity]), (single_chain(11), [identity])):
+        with pytest.raises(FormatError):
+            load_family(_unique_family_file(tmp_path, base, relabelings))
+
+
+def test_family_file_refuses_unique_claim_over_budget(tmp_path, monkeypatch):
+    identity = tuple(range(1, 12))
+    path = _unique_family_file(tmp_path, powerset(11), [identity, identity])
+    monkeypatch.setattr(cover, "EXACT_ONCE_BUDGET", len(powerset(11)) - 1)
     with pytest.raises(CapError):
         load_family(path)

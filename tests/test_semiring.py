@@ -6,7 +6,7 @@ from math import factorial, inf
 
 import pytest
 
-from chainfold.constructions import core_prefix_system, powerset
+from chainfold.constructions import core_prefix_system, from_spec, powerset
 from chainfold.cover import CoverFamily, exactly_once, greedy_prune, make_unique, random_cover
 from chainfold.rng import SplitMix64
 from chainfold.semiring import (
@@ -28,7 +28,7 @@ from chainfold.semiring import (
     tsp_path_problem,
 )
 from chainfold.solver import random_instance
-from chainfold.systems import FormatError
+from chainfold.systems import CapError, FormatError
 
 
 # --- semiring axioms ----------------------------------------------------------
@@ -228,6 +228,14 @@ def test_unique_counting_gives_factorial():
     assert evaluate_unique(p, fam) == factorial(5)
 
 
+def test_unique_counting_gives_factorial_at_n8():
+    # n = 8: make_unique and the exact-once check run on chain counts alone
+    base = from_spec("thm45:8,0.75,0.375")
+    fam = make_unique(greedy_prune(random_cover(base, seed=0, max_tries=5000)))
+    p = PermutationProblem(8, 0, lambda mask, tail: 1, COUNTING)
+    assert evaluate_unique(p, fam) == factorial(8)
+
+
 def test_unique_powerset_family_matches_dp():
     fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
     gen = SplitMix64(8)
@@ -321,4 +329,7 @@ def test_poset_file_rejects(tmp_path):
         load_poset(path)
     path.write_text("n -1\n")  # a negative ground set
     with pytest.raises(FormatError):
+        load_poset(path)
+    path.write_text("n 20000000\n1 < 2\n")  # refused before anything is built
+    with pytest.raises(CapError):
         load_poset(path)
