@@ -3,8 +3,8 @@
 
 Usage: python scripts/solver_race.py [--n 9] [--seed 0] [--trials 70]
 
-Exits 1 when the solvers disagree on the optimal value, so it can serve as a
-smoke check.
+Exits 1 when the solvers disagree on the optimal value or on its witness, the
+lexicographically smallest optimal tour, so it can serve as a smoke check.
 """
 
 import argparse
@@ -38,18 +38,18 @@ def main() -> int:
         ("framework", lambda: solver.framework_solver(inst, block_size, families)),
     ]
     print(f"n = {args.n}, seed = {args.seed}, split trials = {trials}")
-    values = set()
+    answers = set()
     for name, fn in runs:
         t0 = time.time()
         sol = fn()
         dt = (time.time() - t0) * 1000
-        values.add(sol.value)
+        answers.add((sol.value, sol.tour))
         entries = f" table={sol.table_entries}" if sol.table_entries else ""
         print(f"  {name:<22s} value={sol.value}  {dt:8.1f} ms{entries}")
-    if len(values) == 1:
+    if len(answers) == 1:
         print("all agree")
         return 0
-    print(f"DISAGREEMENT: {sorted(values)}")
+    print(f"DISAGREEMENT: {sorted(answers)}")
     return 1
 
 

@@ -274,8 +274,9 @@ def regularly_self_intersecting(f: SetSystem) -> bool:
     (exhaustive over distinct images; n capped)."""
     if f.n > SELF_INTERSECT_CAP:
         raise CapError(f"self-intersection checks {f.n}! relabelings; cap {SELF_INTERSECT_CAP}")
-    images, _ = relabeling_orbit(f)
-    return all(regularly_intersecting(f, SetSystem(f.n, g)) is not None for g in images)
+    return all(
+        regularly_intersecting(f, SetSystem(f.n, g)) is not None for g in relabeling_orbit(f)
+    )
 
 
 def make_unique(family: CoverFamily) -> CoverFamily:

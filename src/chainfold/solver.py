@@ -26,10 +26,12 @@ The callers differ only in the problems they hand the engine:
     the tour's first city) all lie in f.  It solves one problem per first
     city {c} in f, each table holding <= n*|f| entries.
 
-    held_karp is the engine over the powerset, anchored at city 1, and
-    gurevich_shelah hands it the fixed-endpoint paths left when its
-    recursion stops (_fixed_path); both enumerate the powerset as submasks
-    without building a SetSystem.
+    _fixed_path(cities, a, b) is the engine over every subset of cities
+    that holds a: the cheapest order of cities from a, plus the step from
+    its last city to b.  held_karp is _fixed_path(1..n, 1, 1), and
+    gurevich_shelah hands it the subproblems left when its recursion stops,
+    so at depth 0 the two run one and the same sweep.  Neither builds a
+    SetSystem.
 
     random_split_solver and framework_solver draw their systems lazily and
     stream them through the same sweeps, so neither builds its whole list
@@ -41,8 +43,9 @@ The callers differ only in the problems they hand the engine:
     turns alpha into its threshold.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
-oracle.  gurevich_shelah recursively guesses the first half of the tour and
-the endpoint pair of each half.
+oracle.  gurevich_shelah solves the tour as the path from city 1 back to
+itself, recursively guessing the city set of a path's first half and the
+city that follows it.
 """
 
 from collections import deque
@@ -148,14 +151,13 @@ def brute_force(inst: TspInstance) -> Solution:
 
 
 def held_karp(inst: TspInstance) -> Solution:
-    """Subset DP over all prefix-sets, anchored at city 1: the chain DP over
-    the powerset, whose table holds 2^(n-1)*(n-1) entries plus the closing
-    one."""
+    """Subset DP over all prefix-sets, anchored at city 1: the closed path
+    _fixed_path(1..n, 1, 1), whose table holds 2^(n-1)*(n-1) entries plus the
+    closing one."""
     n = inst.n
     if n > HELD_KARP_CAP:
         raise CapError(f"held_karp caps at n <= {HELD_KARP_CAP}")
-    full = (1 << n) - 1
-    [(value, tour, _)] = _chain_dp(inst.dist, full, [(_submasks(full, 1), 1, 1)])
+    value, tour = _fixed_path(inst.dist, range(1, n + 1), 1, 1)
     return Solution(value, tour, table_entries=(1 << (n - 1)) * (n - 1) + 1)
 
 
@@ -302,21 +304,21 @@ def _submasks(top, first):
 
 
 def _fixed_path(d, cities, a, b):
-    """Min Hamiltonian path a -> b through cities (a == b closes a cycle):
-    the chain DP over every subset of cities that holds a and not b."""
-    top = mask_of(cities) & ~(1 << (b - 1)) | 1 << (a - 1)
+    """Cheapest order of cities from a, plus the step from its last city to b
+    (b outside cities, or b == a to close a cycle): the chain DP over every
+    subset of cities that holds a.  Returns (value, order)."""
+    top = mask_of(cities)
     [(value, order, _)] = _chain_dp(d, top, [(_submasks(top, a), a, b)])
-    return value, order + (b,)
+    return value, order
 
 
 def _path_brute(d, cities, a, b):
-    """Min Hamiltonian path a -> b through cities, by lexicographic
-    enumeration of the middle; first minimum is the smallest witness."""
+    """_fixed_path by lexicographic enumeration of the orders of cities after
+    a; the first minimum is the smallest witness."""
     from itertools import permutations
 
-    middle = sorted(set(cities) - {a, b})
     best_v, best_t = None, None
-    for order in permutations(middle):
+    for order in permutations(sorted(set(cities) - {a})):
         v = 0
         c = a
         for x in order:
@@ -324,67 +326,47 @@ def _path_brute(d, cities, a, b):
             c = x
         v += d[c][b]
         if best_v is None or v < best_v:
-            best_v, best_t = v, (a, *order, b)
+            best_v, best_t = v, (a, *order)
     return best_v, best_t
 
 
 def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
-    """Divide and conquer on the tour: guess the city set of the first half
-    and the endpoint pair joining the halves, recursing switch_depth levels
-    before handing subproblems to the fixed-endpoint subset DP."""
+    """Divide and conquer on the tour, the path from city 1 back to itself.
+    solve_path(cities, a, b) is the cheapest order of cities from a plus the
+    step from its last city to b; it guesses the city set of the first half
+    and the city y that follows it, recursing switch_depth levels before
+    handing subproblems to the fixed-endpoint subset DP."""
     n = inst.n
+    if n > HELD_KARP_CAP:
+        raise CapError(f"gurevich_shelah caps at n <= {HELD_KARP_CAP}")
     d = inst.dist
-    if n == 2:
-        return Solution(d[1][2] + d[2][1], (1, 2))
     memo: dict = {}
 
     def solve_path(cities: frozenset, a: int, b: int, depth: int):
         if len(cities) == 1:
-            return 0, (a,)
-        if len(cities) == 2:
-            return d[a][b], (a, b)
+            return d[a][b], (a,)
         # value and lex-min witness are method-independent, so the memo key
         # can ignore the depth at which a subproblem is first solved
         key = (cities, a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        best = memo.get(key)
+        if best is not None:
+            return best
         if depth >= switch_depth:
-            if len(cities) <= 8:  # brute force is faster up to 8 cities
-                res = _path_brute(d, cities, a, b)
-            else:
-                res = _fixed_path(d, cities, a, b)
+            leaf = _path_brute if len(cities) <= 7 else _fixed_path  # brute is faster up to 7
+            best = leaf(d, cities, a, b)
         else:
-            half = len(cities) // 2
-            pool = sorted(cities - {a, b})
-            best_v, best_t = None, None
-            for extra in combinations(pool, half - 1):
+            for extra in combinations(sorted(cities - {a}), len(cities) // 2 - 1):
                 first = frozenset((a, *extra))
-                second = cities - first
-                for x in sorted(first) if half > 1 else [a]:
-                    if half > 1 and x == a:
-                        continue
-                    va, ta = solve_path(first, a, x, depth + 1)
-                    for y in sorted(second):
-                        if y == b and len(second) > 1:
-                            continue
-                        vb, tb = solve_path(second, y, b, depth + 1)
-                        v = va + d[x][y] + vb
-                        t = ta + tb
-                        if best_v is None or v < best_v or (v == best_v and t < best_t):
-                            best_v, best_t = v, t
-            res = best_v, best_t
-        memo[key] = res
-        return res
+                rest = cities - first
+                for y in rest:
+                    va, ta = solve_path(first, a, y, depth + 1)
+                    vb, tb = solve_path(rest, y, b, depth + 1)
+                    if best is None or (va + vb, ta + tb) < best:
+                        best = va + vb, ta + tb
+        memo[key] = best
+        return best
 
-    cities = frozenset(range(1, n + 1))
-    best_v, best_t = None, None
-    for c in range(2, n + 1):
-        v, t = solve_path(cities, 1, c, 0)
-        v += d[c][1]
-        if best_v is None or v < best_v or (v == best_v and t < best_t):
-            best_v, best_t = v, t
-    return Solution(best_v, best_t)
+    return Solution(*solve_path(frozenset(range(1, n + 1)), 1, 1, 0))
 
 
 def _best(solutions):

@@ -309,26 +309,12 @@ def closure_from_permutations(n: int, perms) -> SetSystem:
     return SetSystem(n, masks)
 
 
-def relabeling_orbit(f: SetSystem):
-    """Distinct images of f under all n! relabelings, with multiplicity.
-
-    Returns (images, support_identity) where images maps each distinct image
-    (as a frozenset of masks) to its multiplicity N_i, and support_identity is
-    the total multiplicity of images supporting the identity permutation.
-    Exhaustive; capped by the n! oracle limit.
-    """
+def relabeling_orbit(f: SetSystem) -> set[frozenset]:
+    """Distinct images of f under all n! relabelings, each as a frozenset of
+    masks.  Exhaustive; capped by the n! oracle limit."""
     if f.n > ORACLE_CAP:
         raise CapError(f"n={f.n} too large for relabeling enumeration")
-    identity_chain = prefix_chain(tuple(range(1, f.n + 1)))
-    images: dict[frozenset, int] = {}
-    supporting = 0
-    for sigma in iter_permutations(range(1, f.n + 1)):
-        g = relabel(f, sigma)
-        key = g.mask_set()
-        images[key] = images.get(key, 0) + 1
-        if all(m in key for m in identity_chain):
-            supporting += 1
-    return images, supporting
+    return {relabel(f, sigma).mask_set() for sigma in iter_permutations(range(1, f.n + 1))}
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ def test_solve_cap_violation_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_solve_gs_cap_violation_exits_3(capsys, tmp_path):
+    # refused before the recursion builds its first table
+    path = tmp_path / "big.tsp"
+    dump_instance(random_instance(25, 0), path)
+    for depth in ("0", "2"):
+        argv = ["solve", "--alg", "gs", "--depth", depth, "--instance", str(path)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+
+
 def test_solve_restricted_infeasible_exits_1(capsys, tmp_path, instance8):
     from chainfold.systems import SetSystem
 

@@ -120,7 +120,7 @@ def test_band_fraction_via_relabeling_oracle():
 
     for k, beta in [(2, 0.6), (3, 0.889972)]:
         f = split_band_system(k, beta)
-        images, _ = relabeling_orbit(f)
+        images = relabeling_orbit(f)
         identity_chain = prefix_chain(tuple(range(1, 2 * k + 1)))
         n_distinct = len(images)
         m_distinct = sum(1 for key in images if all(m in key for m in identity_chain))

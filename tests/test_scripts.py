@@ -42,17 +42,34 @@ def test_script_runs(name, args, last_line):
     assert proc.stdout.splitlines()[-1].strip() == last_line
 
 
-def test_solver_race_exits_1_on_disagreement(monkeypatch, capsys):
+def _race_with(monkeypatch, held_karp):
     spec = importlib.util.spec_from_file_location("solver_race", SCRIPTS / "solver_race.py")
     race = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(race)
+    monkeypatch.setattr(solver, "held_karp", held_karp)
+    monkeypatch.setattr(sys, "argv", ["solver_race.py", "--n", "7"])
+    return race.main()
+
+
+def test_solver_race_exits_1_on_disagreement(monkeypatch, capsys):
     held_karp = solver.held_karp
 
     def wrong_held_karp(inst):
         sol = held_karp(inst)
         return solver.Solution(sol.value + 1, sol.tour, sol.table_entries)
 
-    monkeypatch.setattr(solver, "held_karp", wrong_held_karp)
-    monkeypatch.setattr(sys, "argv", ["solver_race.py", "--n", "7"])
-    assert race.main() == 1
+    assert _race_with(monkeypatch, wrong_held_karp) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("DISAGREEMENT: ")
+
+
+def test_solver_race_exits_1_on_another_witness(monkeypatch, capsys):
+    # the right value with another tour is still a disagreement: every solver
+    # in the race returns the lexicographically smallest optimal tour
+    held_karp = solver.held_karp
+
+    def other_tour_held_karp(inst):
+        sol = held_karp(inst)
+        return solver.Solution(sol.value, (1, *reversed(sol.tour[1:])), sol.table_entries)
+
+    assert _race_with(monkeypatch, other_tour_held_karp) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("DISAGREEMENT: ")

@@ -112,7 +112,9 @@ def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
         cities = SplitMix64(seed).sample(9, k)
         for a in cities:
             for b in cities:
-                assert _fixed_path(inst.dist, cities, a, b) == _path_brute(inst.dist, cities, a, b)
+                # b follows the last city, so it lies outside the path's cities
+                path = cities if a == b else [c for c in cities if c != b]
+                assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
 
 
 # --- restricted DP ---------------------------------------------------------------
@@ -236,8 +238,9 @@ def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
     assert (sol.value, sol.tour) == min(t for t in tours if supports(f, t[1]))
     for a, b in ((1, n), (n, 1), (2, 2)):
         paths = [(a, *p, b) for p in permutations(set(range(1, n + 1)) - {a, b})]
-        expected = min((sum(inst.dist[x][y] for x, y in zip(t, t[1:])), t) for t in paths)
-        assert _fixed_path(inst.dist, range(1, n + 1), a, b) == expected
+        expected = min((sum(inst.dist[x][y] for x, y in zip(t, t[1:])), t[:-1]) for t in paths)
+        cities = range(1, n + 1) if a == b else [c for c in range(1, n + 1) if c != b]
+        assert _fixed_path(inst.dist, cities, a, b) == expected
 
 
 # --- gurevich-shelah ---------------------------------------------------------------
@@ -247,13 +250,36 @@ def test_gs_two_cities():
     assert gurevich_shelah(inst, 3).value == 12
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_gs_matches_brute(depth):
-    for n in (5, 6, 8):
+# ids 0..3 are the depth with weights in [1, 99]; narrow ranges tie often, so
+# the lexicographically smallest witness decides; at depth 0, n = 9 and 10
+# reach the DP leaf
+@pytest.mark.parametrize(
+    "depth, low, high",
+    [pytest.param(depth, 1, 99, id=str(depth)) for depth in range(4)]
+    + [pytest.param(depth, low, high, id=f"{depth}-{kind}")
+       for kind, low, high in (("ties", 1, 2), ("negative", -1, 1)) for depth in range(4)],
+)
+def test_gs_matches_brute(depth, low, high):
+    for n in (5, 6, 8, 9, 10):
         for seed in (0, 1):
-            inst = random_instance(n, seed * 7 + n)
+            inst = _instance(n, seed * 7 + n, low, high)
             g, b = gurevich_shelah(inst, depth), brute_force(inst)
             assert g.value == b.value and g.tour == b.tour
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_gs_depth_zero_is_held_karp(n):
+    # at depth 0 the tour is one _fixed_path(1..n, 1, 1) leaf, the sweep
+    # held_karp runs
+    for low, high in ((1, 99), (1, 2), (-50, 50)):
+        inst = _instance(n, 60 + n, low, high)
+        g, h = gurevich_shelah(inst, 0), held_karp(inst)
+        assert (g.value, g.tour) == (h.value, h.tour)
+
+
+def test_gs_cap():
+    with pytest.raises(CapError):
+        gurevich_shelah(random_instance(25, 0), 2)
 
 
 # --- warmup split solver --------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_closure_two_chains():
 @settings(max_examples=20, deadline=None)
 @given(set_systems(max_n=4))
 def test_supported_fraction_identity(f):
-    images, _ = relabeling_orbit(f)
+    images = relabeling_orbit(f)
     identity_chain = prefix_chain(tuple(range(1, f.n + 1)))
     n_distinct = len(images)
     m_distinct = sum(1 for key in images if all(m in key for m in identity_chain))
