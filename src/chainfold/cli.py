@@ -3,7 +3,8 @@ semiring evaluation, bound curves, and the verification suites.
 
 Subcommands: solve, sys, cover, count-le, eval, bounds, optimize, curve,
 verify.  Exit codes: 0 success, 1 computation failure (failed suite,
-infeasible restriction), 2 parse/file errors, 3 resource-cap violations.
+infeasible restriction), 2 parse errors and any error reading or writing a
+file, 3 resource-cap violations.
 
 Reproducibility: identical flags and seed give byte-identical stdout and
 output files.  Timings go to stderr so they cannot perturb that.  The only
@@ -59,20 +60,8 @@ def cmd_solve(args) -> int:
     elif args.alg == "warmup":
         sol = solver.random_split_solver(inst, args.alpha, args.trials, args.seed)
     elif args.alg == "framework":
-        fams = verify.block_families()
-        if args.block_size:
-            bs = args.block_size
-            sizes = solver.partition_blocks(inst.n, bs)
-            missing = [s for s in sizes if s not in fams]
-            if missing:
-                raise ValueError(
-                    f"no stock covering family for block sizes {missing}; "
-                    f"pick --block-size so blocks land in {sorted(fams)}"
-                )
-            families = [fams[s] for s in sizes]
-        else:
-            bs, families = verify.framework_plan(inst.n, fams)
-        sol = solver.framework_solver(inst, bs, families)
+        plan = verify.framework_plan(inst.n, block_size=args.block_size)
+        sol = solver.framework_solver(inst, *plan)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.alg)
     elapsed = time.time() - t0
@@ -293,23 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except systems.FormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except systems.CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (systems.FormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

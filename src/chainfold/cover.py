@@ -47,6 +47,7 @@ from .systems import (
     count_chains,
     dump_system,
     load_system,
+    read_headers,
     relabel,
     relabeling_orbit,
     supports,
@@ -253,8 +254,13 @@ def regularly_intersecting(f1: SetSystem, f2: SetSystem):
     """
     if f1.n != f2.n:
         raise ValueError("ground-set mismatch")
+    return _witness(f1, _chains_through(f1), f2)
+
+
+def _witness(f1: SetSystem, through1: dict, f2: SetSystem):
+    """regularly_intersecting(f1, f2), given through1 = _chains_through(f1)."""
     f12 = SetSystem(f1.n, f1.mask_set() & f2.mask_set())
-    through1, through12 = _chains_through(f1), _chains_through(f12)
+    through12 = _chains_through(f12)
     candidate = tuple(m for m in f12.masks if through1.get(m, 0) == through12.get(m, 0))
     if count_chains(SetSystem(f1.n, f12.mask_set().difference(candidate))):
         return None
@@ -292,9 +298,10 @@ def make_unique(family: CoverFamily) -> CoverFamily:
     members = family.systems()
     removed = [()]
     for i in range(1, len(members)):
+        through = _chains_through(members[i])
         drop: set[int] = set()
         for k in range(i):
-            witness = regularly_intersecting(members[i], members[k])
+            witness = _witness(members[i], through, members[k])
             if witness is None:
                 raise ValueError(f"members {i} and {k} are not regularly intersecting")
             drop.update(witness)
@@ -328,20 +335,15 @@ def load_family(path) -> CoverFamily:
     """Read a family file.  A unique-mode claim is verified with
     exactly_once: FormatError when some permutation is not supported exactly
     once, CapError when the check exceeds EXACT_ONCE_BUDGET."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("base ") or not lines[1].startswith("mode "):
-        raise FormatError(f"{path}: missing 'base'/'mode' header")
-    base_path = lines[0][5:]
+    (base_path, mode), body = read_headers(path, "base", "mode")
     if not os_path.isabs(base_path):
         base_path = os_path.join(os_path.dirname(os_path.abspath(path)), base_path)
     base = load_system(base_path)
-    mode = lines[1][5:]
     if mode not in ("plain", "unique"):
         raise FormatError(f"{path}: unknown mode {mode!r}")
     relabelings = []
     removed: dict[int, tuple] = {}
-    for ln in lines[2:]:
+    for ln in body:
         if ln.startswith("removed "):
             head, _, rest = ln.partition(":")
             try:

@@ -2,9 +2,8 @@
 
 SplitMix64: a fixed, well-documented 64-bit generator (Steele, Lea, Flood,
 "Fast splittable pseudorandom number generators", OOPSLA 2014).  Chosen over
-the stdlib Mersenne Twister because the whole state is one 64-bit word, the
-stream is trivially reproducible from a printed seed on any platform, and
-independent substreams can be split off for parallel work.
+the stdlib Mersenne Twister because the whole state is one 64-bit word and
+the stream is trivially reproducible from a printed seed on any platform.
 
 Identical seeds reproduce identical draws byte-for-byte; every randomized
 path in the package funnels through this class.
@@ -15,7 +14,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """Seeded 64-bit generator with splittable state."""
+    """Seeded 64-bit generator."""
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -26,10 +25,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
-
-    def split(self) -> "SplitMix64":
-        """Fork an independent substream."""
-        return SplitMix64(self.next64())
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection (unbiased)."""

@@ -30,7 +30,7 @@ from itertools import permutations as iter_permutations
 from math import inf
 
 from .cover import CoverFamily, exactly_once
-from .systems import GROUND_CAP, CapError, FormatError
+from .systems import GROUND_CAP, CapError, FormatError, read_int_headers
 
 DEGREE_CAP = 3
 BRUTE_CAP = 8
@@ -271,8 +271,6 @@ def linear_extension_problem(poset: Poset) -> PermutationProblem:
 
 def count_linear_extensions(poset: Poset) -> int:
     """Number of total orders extending the poset."""
-    if poset.n > DP_CAP:
-        raise CapError(f"extension counting caps at n <= {DP_CAP}")
     return evaluate_dp(linear_extension_problem(poset))
 
 
@@ -300,18 +298,11 @@ def dump_poset(poset: Poset, path) -> None:
 
 
 def load_poset(path) -> Poset:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise FormatError(f"{path}: missing 'n' header")
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from None
+    (n,), body = read_int_headers(path, "n")
     if n > GROUND_CAP:
         raise CapError(f"{path}: ground set {n} exceeds cap {GROUND_CAP}")
     relations = []
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 3 or parts[1] != "<":
             raise FormatError(f"{path}: bad relation line {ln!r}")

@@ -50,7 +50,8 @@ city that follows it.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cache
+from itertools import chain, combinations, permutations
 from math import comb
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from .constructions import split_system
 from .cover import CoverFamily, covers_all
 from .rng import SplitMix64
-from .systems import CapError, FormatError, SetSystem, mask_of, union_product
+from .systems import CapError, FormatError, SetSystem, mask_of, read_int_headers, union_product
 
 HELD_KARP_CAP = 24
 BRUTE_CAP = 11
@@ -121,17 +122,10 @@ def random_instance(n: int, seed: int, max_weight: int = 99) -> TspInstance:
     return TspInstance.from_rows(rows)
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _tail_permutations(n: int) -> np.ndarray:
     """All permutations of cities 2..n in lexicographic order, as an array."""
-    if n not in _PERM_CACHE:
-        from itertools import permutations
-
-        arr = np.array(list(permutations(range(2, n + 1))), dtype=np.int8)
-        _PERM_CACHE[n] = arr
-    return _PERM_CACHE[n]
+    return np.array(list(permutations(range(2, n + 1))), dtype=np.int8)
 
 
 def brute_force(inst: TspInstance) -> Solution:
@@ -139,8 +133,6 @@ def brute_force(inst: TspInstance) -> Solution:
     n = inst.n
     if n > BRUTE_CAP:
         raise CapError(f"brute force caps at n <= {BRUTE_CAP}")
-    if n == 2:
-        return Solution(inst.dist[1][2] + inst.dist[2][1], (1, 2))
     d = np.array([row for row in inst.dist], dtype=np.int64)
     tails = _tail_permutations(n)
     cost = d[1, tails[:, 0]] + d[tails[:, -1], 1]
@@ -315,8 +307,6 @@ def _fixed_path(d, cities, a, b):
 def _path_brute(d, cities, a, b):
     """_fixed_path by lexicographic enumeration of the orders of cities after
     a; the first minimum is the smallest witness."""
-    from itertools import permutations
-
     best_v, best_t = None, None
     for order in permutations(sorted(set(cities) - {a})):
         v = 0
@@ -477,18 +467,11 @@ def dump_instance(inst: TspInstance, path) -> None:
 
 
 def load_instance(path) -> TspInstance:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise FormatError(f"{path}: missing 'n' header")
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from None
-    if len(lines) != n + 1:
-        raise FormatError(f"{path}: expected {n} rows, found {len(lines) - 1}")
+    (n,), body = read_int_headers(path, "n")
+    if len(body) != n:
+        raise FormatError(f"{path}: expected {n} rows, found {len(body)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         try:
             row = [int(t) for t in ln.split()]
         except ValueError:

@@ -42,6 +42,27 @@ class FormatError(ValueError):
     """A serialized artifact violates its file format or invariants."""
 
 
+def read_headers(path, *keys) -> tuple[list[str], list[str]]:
+    """Read the non-blank stripped lines of a text file.  The first lines
+    must be `key value` headers, one per key in order; returns their values
+    and the lines after them."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    head = lines[: len(keys)]
+    if len(head) < len(keys) or not all(ln.startswith(k + " ") for ln, k in zip(head, keys)):
+        raise FormatError(f"{path}: missing {'/'.join(map(repr, keys))} header")
+    return [ln[len(k) + 1 :] for ln, k in zip(head, keys)], lines[len(keys) :]
+
+
+def read_int_headers(path, *keys) -> tuple[list[int], list[str]]:
+    """read_headers for headers whose values are integers."""
+    values, body = read_headers(path, *keys)
+    try:
+        return [int(v) for v in values], body
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header: {exc}") from None
+
+
 def mask_of(elems) -> int:
     """Bitmask of an iterable of 1-based elements."""
     m = 0
@@ -331,20 +352,11 @@ def dump_system(f: SetSystem, path) -> None:
 
 
 def load_system(path) -> SetSystem:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("n ") or not lines[1].startswith("count "):
-        raise FormatError(f"{path}: missing 'n'/'count' header")
-    try:
-        n = int(lines[0][2:])
-        count = int(lines[1][6:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from None
+    (n, count), body = read_int_headers(path, "n", "count")
     if n < 0:
         raise FormatError(f"{path}: negative ground-set size")
     if n > GROUND_CAP:
         raise CapError(f"{path}: ground set {n} exceeds cap {GROUND_CAP}")
-    body = lines[2:]
     if len(body) != count:
         raise FormatError(f"{path}: count says {count}, found {len(body)} masks")
     masks = []

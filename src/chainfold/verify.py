@@ -132,22 +132,24 @@ def block_families():
     return {3: fam3, 4: fam4, 5: fam5}
 
 
-def framework_plan(n: int, fams=None):
-    """(block_size, families) used by the equivalence suite and the CLI."""
+def framework_plan(n: int, fams=None, block_size: int = 0):
+    """(block_size, families) used by the equivalence suite and the CLI: the
+    blocks solver.partition_blocks cuts for block_size (0 picks the stock
+    size for n), each with the stock family of its size."""
     fams = fams or block_families()
-    plans = {
-        4: (4, [4]),
-        5: (5, [5]),
-        6: (3, [3, 3]),
-        7: (3, [3, 4]),
-        8: (4, [4, 4]),
-        9: (4, [4, 5]),
-        10: (5, [5, 5]),
-    }
-    if n not in plans:
-        raise ValueError(f"no block plan for n={n}")
-    bs, sizes = plans[n]
-    return bs, [fams[s] for s in sizes]
+    if not block_size:
+        plans = {4: 4, 5: 5, 6: 3, 7: 3, 8: 4, 9: 4, 10: 5}
+        if n not in plans:
+            raise ValueError(f"no block plan for n={n}")
+        block_size = plans[n]
+    sizes = solver.partition_blocks(n, block_size)
+    missing = [s for s in sizes if s not in fams]
+    if missing:
+        raise ValueError(
+            f"no stock covering family for block sizes {missing}; "
+            f"pick --block-size so blocks land in {sorted(fams)}"
+        )
+    return block_size, [fams[s] for s in sizes]
 
 
 def suite_solvers(instances_per_n: int = 50) -> SuiteResult:

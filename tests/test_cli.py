@@ -1,14 +1,16 @@
 """End-to-end command-line checks: outputs, exit codes, reproducibility."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chainfold.cli import main
 from chainfold.constructions import powerset
 from chainfold.cover import load_family
-from chainfold.solver import dump_instance, random_instance
+from chainfold.solver import brute_force, dump_instance, random_instance
 from chainfold.systems import dump_system
 
 
@@ -66,9 +68,51 @@ def test_solve_all_algorithms_agree(capsys, instance8):
     assert len(set(values.values())) == 1
 
 
-def test_solve_missing_file_exits_2(capsys):
-    code, _ = run_cli(capsys, "solve", "--alg", "bhk", "--instance", "nope.tsp")
-    assert code == 2
+def test_solve_missing_file_exits_2(capsys, tmp_path):
+    for path in ("nope.tsp", str(tmp_path)):
+        code, _ = run_cli(capsys, "solve", "--alg", "bhk", "--instance", path)
+        assert code == 2
+
+
+def test_paths_through_a_regular_file_exit_2(capsys, instance8):
+    # NotADirectoryError, on a read and on a write
+    for argv in (
+        ["solve", "--alg", "bhk", "--instance", instance8 + "/x"],
+        ["sys", "--make", "powerset:3", "--out", instance8 + "/out.ss"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_solve_framework_block_size(capsys, tmp_path):
+    path = tmp_path / "ex9.tsp"
+    inst = random_instance(9, 5)
+    dump_instance(inst, path)
+    argv = ["solve", "--alg", "framework", "--instance", str(path), "--block-size"]
+    code, out = run_cli(capsys, *argv, "3")
+    ref = brute_force(inst)
+    assert code == 0
+    assert f"value {ref.value}" in out.splitlines()
+    assert "tour " + " ".join(map(str, ref.tour)) in out.splitlines()
+    # block size 2 splits 9 cities into blocks 2, 2, 2, 3, and there is no
+    # stock family for 2
+    code = main(argv + ["2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: no stock covering family for block sizes [2, 2, 2]; "
+        "pick --block-size so blocks land in [3, 4, 5]\n"
+    )
+
+
+def test_non_integer_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINFOLD_SEED", "x")
+    code = main(["cover", "--base", "chain:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: CHAINFOLD_SEED='x' is not an integer\n"
 
 
 def test_solve_cap_violation_exits_3(capsys, tmp_path):
@@ -335,10 +379,14 @@ def test_help_exits_zero():
 
 
 def test_console_script_runs():
+    # the subprocess imports chainfold from this checkout, as pytest does
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "chainfold.cli", "sys", "--make", "powerset:3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "S=2.000000" in proc.stdout

@@ -69,7 +69,7 @@ def test_brute_cap():
 # checked along with the value
 @pytest.mark.parametrize(
     "n, max_weight",
-    [pytest.param(n, 99, id=str(n)) for n in SIZES]
+    [pytest.param(n, 99, id=str(n)) for n in (2, *SIZES)]
     + [pytest.param(n, 2, id=f"{n}-ties") for n in SIZES],
 )
 def test_held_karp_matches_brute(n, max_weight):

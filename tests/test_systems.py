@@ -16,6 +16,9 @@ from chainfold.constructions import (
     split_band_system,
     tower_of_cubes,
 )
+from chainfold.cover import load_family
+from chainfold.semiring import load_poset
+from chainfold.solver import load_instance
 from chainfold.systems import (
     CapError,
     EmptyGroundSetError,
@@ -363,6 +366,29 @@ def test_system_file_cap(tmp_path):
     path.write_text("n 70\ncount 0\n")
     with pytest.raises(CapError):
         load_system(path)
+
+
+BAD_INT = "bad header: invalid literal for int() with base 10: 'x'"
+
+
+@pytest.mark.parametrize(
+    "loader, keys, bad_header, bad_message",
+    [
+        (load_system, "'n'/'count'", "n 2\ncount x\n", BAD_INT),
+        (load_instance, "'n'", "n x\n", BAD_INT),
+        (load_poset, "'n'", "n x\n", BAD_INT),
+        (load_family, "'base'/'mode'", "base b.ss\nmode odd\n", "unknown mode 'odd'"),
+    ],
+    ids=["system", "instance", "poset", "family"],
+)
+def test_file_header_messages(tmp_path, loader, keys, bad_header, bad_message):
+    dump_system(powerset(2), tmp_path / "b.ss")
+    path = tmp_path / "bad.txt"
+    for text, message in (("x 1\ny 2\n", f"missing {keys} header"), (bad_header, bad_message)):
+        path.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            loader(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 def test_elems_mask_roundtrip():
