@@ -5,6 +5,11 @@ Usage: python scripts/solver_race.py [--n 9] [--seed 0] [--trials 70]
 
 Exits 1 when the solvers disagree on the optimal value or on its witness, the
 lexicographically smallest optimal tour, so it can serve as a smoke check.
+The witness is a cycle, compared from city 1: a sampled split run (--trials
+below the number of splits) may support only another rotation of it.
+A solver that refuses the size (brute force above solver.BRUTE_CAP, the
+framework solver where verify.framework_plan has no block plan) is skipped
+with a line saying why.
 """
 
 import argparse
@@ -26,24 +31,33 @@ def main() -> int:
 
     inst = solver.random_instance(args.n, args.seed)
     trials = args.trials or comb(args.n, args.n // 2)
-    block_size, families = verify.framework_plan(args.n)
     pset = powerset(args.n)
-    runs = [
-        ("brute", lambda: solver.brute_force(inst)),
+    runs, skipped = [("brute", lambda: solver.brute_force(inst))], []
+    if args.n > solver.BRUTE_CAP:
+        runs, skipped = [], [("brute", f"n > BRUTE_CAP = {solver.BRUTE_CAP}")]
+    runs += [
         ("held-karp", lambda: solver.held_karp(inst)),
         ("restricted(powerset)", lambda: solver.restricted_dp(inst, pset)),
         ("divide&conquer d=1", lambda: solver.gurevich_shelah(inst, 1)),
         ("divide&conquer d=2", lambda: solver.gurevich_shelah(inst, 2)),
         ("random-split", lambda: solver.random_split_solver(inst, 0.445, trials, args.seed)),
-        ("framework", lambda: solver.framework_solver(inst, block_size, families)),
     ]
+    try:
+        block_size, families = verify.framework_plan(args.n)
+    except ValueError as exc:
+        skipped.append(("framework", str(exc)))
+    else:
+        runs.append(("framework", lambda: solver.framework_solver(inst, block_size, families)))
     print(f"n = {args.n}, seed = {args.seed}, split trials = {trials}")
+    for name, why in skipped:
+        print(f"  {name:<22s} skipped: {why}")
     answers = set()
     for name, fn in runs:
         t0 = time.time()
         sol = fn()
         dt = (time.time() - t0) * 1000
-        answers.add((sol.value, sol.tour))
+        at = sol.tour.index(1)
+        answers.add((sol.value, sol.tour[at:] + sol.tour[:at]))
         entries = f" table={sol.table_entries}" if sol.table_entries else ""
         print(f"  {name:<22s} value={sol.value}  {dt:8.1f} ms{entries}")
     if len(answers) == 1:

@@ -7,18 +7,22 @@ It solves many chain problems (sets, first, last) over one distance matrix
 in a single numpy sweep: B(s, c) = cheapest completion of a chain whose
 prefix-set is s and whose last city is c, held in int64 rows keyed by
 (problem, s) and filled one popcount level at a time, from the top set down.
-Each row finds its successors s | e in the level above with searchsorted
-and keeps the argmin of d[c][e] + B(s | e, e), whose first minimum is the
-smallest next city; following those stored choices (int8) from {first}
-yields the lexicographically smallest optimal witness.
+Each row finds its successors s | e in the level above with one searchsorted
+and gathers B(s | e, e) into a (rows x cities) table; the level is then the
+(min,+) product of that table with d, taken one next city e at a time.  A
+candidate d[c][e] + B(s | e, e) replaces the running minimum only when it is
+strictly smaller, so the stored choice (int8) is the smallest optimal next
+city, and following those choices from {first} yields the lexicographically
+smallest optimal witness.
 
 A missing successor reads SENTINEL = 3 * 2^61.  Instances keep
 n * max|w| < WEIGHT_BOUND = 2^62, so every chain value and every value plus
 one weight lies below 2^62 < SENTINEL - max|w|, and SENTINEL plus one weight
 stays below 2^63: the int64 fill never overflows and never picks a missing
-successor.  Only two levels of values are alive at a time, the per-level
-temporaries are cut into CHUNK-cell pieces, and a row key packs the problem
-index above the set's bits, so a sweep holds at most 2^(63 - n) problems.
+successor.  Only two levels of values are alive at a time, the
+(rows x cities) temporaries are cut into CHUNK-cell pieces, and a row key
+packs the problem index above the set's bits, so a sweep holds at most
+2^(63 - n) problems.
 
 The callers differ only in the problems they hand the engine:
 
@@ -28,9 +32,10 @@ The callers differ only in the problems they hand the engine:
 
     _fixed_path(cities, a, b) is the engine over every subset of cities
     that holds a: the cheapest order of cities from a, plus the step from
-    its last city to b.  held_karp is _fixed_path(1..n, 1, 1), and
-    gurevich_shelah hands it the subproblems left when its recursion stops,
-    so at depth 0 the two run one and the same sweep.  Neither builds a
+    its last city to b.  held_karp is _fixed_path(1..n, 1, 1), the sweep
+    gurevich_shelah runs at depth 0.  Deeper, gurevich_shelah hands the
+    engine every leaf over one city set at once: the leaves of a split
+    share top, so one sweep answers the whole group.  Neither builds a
     SetSystem.
 
     random_split_solver and framework_solver draw their systems lazily and
@@ -45,13 +50,13 @@ The callers differ only in the problems they hand the engine:
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah solves the tour as the path from city 1 back to
 itself, recursively guessing the city set of a path's first half and the
-city that follows it.
+city that follows it; its smallest leaves are enumerated by _path_brute.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -66,7 +71,7 @@ BRUTE_CAP = 11
 WEIGHT_BOUND = 1 << 62  # n * max |weight| must stay below 2^63
 SENTINEL = 3 << 61  # a missing successor: see the module docstring
 BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
-CHUNK = 1 << 14  # cells of one (rows x cities x cities) fill temporary
+CHUNK = 1 << 14  # cells of one (rows x cities) fill temporary
 
 
 @dataclass(frozen=True)
@@ -205,10 +210,13 @@ def _chain_dp(d, top, problems):
     skipped.  A row is keyed (problem << top.bit_length()) | s, and its
     values table[s][c] are the cheapest completions from prefix-set s ending
     at city c.  Levels (popcount of s) are filled from |top| down to 1, keys
-    sorted within each, so the successors s | e of a row are found with
-    searchsorted in the level above.  A missing successor reads SENTINEL, and
-    a row with none is dropped, as no chain through it reaches top.  argmin
-    keeps the first minimum, the smallest next city, so following the stored
+    sorted within each, so the successors s | e of a row are found with one
+    searchsorted in the level above, CHUNK // |top| rows at a time.  They
+    give nxt[r][e] = B(s | e, e), SENTINEL where s | e is missing; a row with
+    no successor is dropped, as no chain through it reaches top.  The row's
+    values are the (min,+) product min_e d[c][e] + nxt[r][e], folded in one
+    next city e at a time; a candidate wins only when strictly smaller, so
+    the stored choice is the smallest optimal next city, and following the
     choices from {first} gives the lexicographically smallest optimal order.
     Returns one (value, order, entries) per problem: order lists the cities
     of top from first, value and order are None when no chain reaches top,
@@ -237,23 +245,36 @@ def _chain_dp(d, top, problems):
     up_vals = dist[:, [last for _, _, last in problems]].T[:, cities]
     entries = np.full(count, m, dtype=np.int64)
     keys_at, choices_at = [None] * m, [None] * m
-    span = max(1, CHUNK // (m * m))
+    span = max(1, CHUNK // m)
     every = np.arange(m)
+    steps = np.ascontiguousarray(w.T)  # steps[e][c] = d[c][e]
     for k in range(m - 1, 0, -1):
         level_keys = keys[starts[k]:starts[k + 1]]
         if not len(up_keys):  # no row above reaches top, so none here does
             level_keys = level_keys[:0]
         vals = np.empty((len(level_keys), m), dtype=np.int64)
-        choices = np.empty((len(level_keys), m), dtype=np.int8)
+        choices = np.zeros((len(level_keys), m), dtype=np.int8)
         alive = np.empty(len(level_keys), dtype=bool)
         for lo in range(0, len(level_keys), span):
             succ = level_keys[lo:lo + span, None] | bits
-            idx = np.minimum(np.searchsorted(up_keys, succ), len(up_keys) - 1)
+            idx = np.searchsorted(up_keys, succ)
+            np.minimum(idx, len(up_keys) - 1, out=idx)
             found = up_keys[idx] == succ
-            cand = w + np.where(found, up_vals[idx, every], SENTINEL)[:, None, :]
-            vals[lo:lo + span] = cand.min(axis=2)
-            choices[lo:lo + span] = cand.argmin(axis=2)
-            alive[lo:lo + span] = found.any(axis=1)
+            nxt = up_vals[idx, every]  # nxt[r, e] = B(s | e, e)
+            nxt[~found] = SENTINEL
+            rows = len(nxt)
+            alive[lo:lo + rows] = found.any(axis=1)
+            v, ch = vals[lo:lo + rows], choices[lo:lo + rows]
+            # succ and found are spent: they hold each next city's candidates
+            # and the cells those improve, so the chunk allocates nothing more
+            cand, better = succ, found
+            np.add(nxt[:, :1], steps[0], out=v)
+            for e in range(1, m):
+                np.add(nxt[:, e:e + 1], steps[e], out=cand)
+                np.less(cand, v, out=better)  # strict: a tie keeps the smaller city
+                ch[better] = e
+                np.minimum(v, cand, out=v)
+            del succ, idx, found, nxt, cand, better  # freed before the next chunk allocates
         up_vals = None  # read in full: free it before this level is compacted
         if not alive.all():
             level_keys, vals, choices = level_keys[alive], vals[alive], choices[alive]
@@ -325,12 +346,36 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
     solve_path(cities, a, b) is the cheapest order of cities from a plus the
     step from its last city to b; it guesses the city set of the first half
     and the city y that follows it, recursing switch_depth levels before
-    handing subproblems to the fixed-endpoint subset DP."""
+    handing subproblems to the fixed-endpoint subset DP.
+
+    At the last split, the leaves come in groups over one city set: the
+    first half's (first, a, y) for every y, and the rest's (rest, y, b) for
+    every y.  One _chain_dp call answers a group, and each answer goes to
+    the memo.  Leaves of up to brute_leaf cities are cheaper by _path_brute,
+    one at a time, so their groups are neither swept nor scanned in the
+    memo."""
     n = inst.n
     if n > HELD_KARP_CAP:
         raise CapError(f"gurevich_shelah caps at n <= {HELD_KARP_CAP}")
     d = inst.dist
     memo: dict = {}
+    # largest leaf solved by _path_brute: a group of 7 seven-city leaves is
+    # faster as one sweep, 6 six-city ones by brute force (CHANGES.md)
+    brute_leaf = 6
+
+    def solve_leaves(cities: frozenset, starts, ends):
+        # one sweep over top = cities answers every leaf (cities, a, b), a in
+        # starts and b in ends, that the memo lacks; brute-sized leaves are
+        # left to solve_path, so their memo keys are not scanned here
+        if len(cities) <= brute_leaf:
+            return
+        todo = [(a, b) for a, b in product(starts, ends) if (cities, a, b) not in memo]
+        if not todo:
+            return
+        top = mask_of(cities)
+        problems = [(_submasks(top, a), a, b) for a, b in todo]
+        for (a, b), (value, order, _) in zip(todo, _chain_dp(d, top, problems)):
+            memo[cities, a, b] = value, order
 
     def solve_path(cities: frozenset, a: int, b: int, depth: int):
         if len(cities) == 1:
@@ -342,12 +387,19 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
         if best is not None:
             return best
         if depth >= switch_depth:
-            leaf = _path_brute if len(cities) <= 7 else _fixed_path  # brute is faster up to 7
+            leaf = _path_brute if len(cities) <= brute_leaf else _fixed_path
             best = leaf(d, cities, a, b)
         else:
-            for extra in combinations(sorted(cities - {a}), len(cities) // 2 - 1):
+            half = len(cities) // 2
+            # the halves are leaves, and the larger one is too big for brute
+            # force: sweep each half's group of leaves before reading them
+            batch = depth + 1 >= switch_depth and len(cities) - half > brute_leaf
+            for extra in combinations(sorted(cities - {a}), half - 1):
                 first = frozenset((a, *extra))
                 rest = cities - first
+                if batch:
+                    solve_leaves(first, (a,), rest)
+                    solve_leaves(rest, rest, (b,))
                 for y in rest:
                     va, ta = solve_path(first, a, y, depth + 1)
                     vb, tb = solve_path(rest, y, b, depth + 1)
@@ -440,15 +492,13 @@ def framework_solver(
             raise ValueError("family does not cover its block's permutations")
     member_systems = [fam.systems() for fam in families]
 
-    from itertools import product as iter_product
-
     def assemble(index_tuple) -> SetSystem:
         combined = member_systems[0][index_tuple[0]]
         for i in range(1, len(index_tuple)):
             combined = union_product(combined, member_systems[i][index_tuple[i]])
         return combined
 
-    tuples = iter_product(*(range(len(ms)) for ms in member_systems))
+    tuples = product(*(range(len(ms)) for ms in member_systems))
     best = _best(_restricted_sweeps(inst, map(assemble, tuples)))
     if best is None:
         raise ValueError("no index tuple admits a tour")
@@ -468,6 +518,8 @@ def dump_instance(inst: TspInstance, path) -> None:
 
 def load_instance(path) -> TspInstance:
     (n,), body = read_int_headers(path, "n")
+    if n < 0:
+        raise FormatError(f"{path}: negative ground-set size")
     if len(body) != n:
         raise FormatError(f"{path}: expected {n} rows, found {len(body)}")
     rows = []

@@ -34,6 +34,9 @@ def run_script(name, *args):
         ("solver_race.py", ["--n", "7"], "all agree"),
         ("finite_size_scan.py", ["--sizes", "8,12"], "extremal at these sizes."),
         ("tradeoff_report.py", ["--grid", "64"], "min lower-bound S T = 3.000000 (>= 3)"),
+        # above BRUTE_CAP and the block plans; depth-1 leaves of 7 cities are
+        # batched sweeps
+        ("solver_race.py", ["--n", "13", "--trials", "70"], "all agree"),
     ],
 )
 def test_script_runs(name, args, last_line):

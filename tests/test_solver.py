@@ -1,8 +1,11 @@
 """Solver equivalences, restriction monotonicity, and witness soundness."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfold.constructions import (
     core_prefix_system,
@@ -17,8 +20,10 @@ from chainfold.solver import (
     WEIGHT_BOUND,
     TspInstance,
     _best,
+    _chain_dp,
     _fixed_path,
     _path_brute,
+    _submasks,
     brute_force,
     dump_instance,
     framework_solver,
@@ -31,7 +36,7 @@ from chainfold.solver import (
     restricted_dp,
     split_prefix_system,
 )
-from chainfold.systems import CapError, FormatError, SetSystem, prefix_chain
+from chainfold.systems import CapError, FormatError, SetSystem, mask_of, prefix_chain, supports
 
 SEEDS = range(5)
 SIZES = range(4, 9)
@@ -42,6 +47,26 @@ def _instance(n, seed, low, high):
     gen = SplitMix64(seed)
     rows = [[0 if i == j else low + gen.randbelow(high - low + 1) for j in range(n)] for i in range(n)]
     return TspInstance.from_rows(rows)
+
+
+def _weights(kind, n):
+    """Weights of one kind: wide, tied, signed, or at the int64 edge, where
+    |w| sits just under WEIGHT_BOUND // n and tours still tie."""
+    big = WEIGHT_BOUND // n - 1
+    return {
+        "99": st.integers(1, 99),
+        "ties": st.integers(1, 2),
+        "signed": st.integers(-1, 1),
+        "bound": st.sampled_from((big, big - 1, -big)),
+    }[kind]
+
+
+@st.composite
+def instances(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(("99", "ties", "signed", "bound")))
+    cells = draw(st.lists(_weights(kind, n), min_size=n * n, max_size=n * n))
+    return TspInstance.from_rows([cells[i * n:(i + 1) * n] for i in range(n)])
 
 
 # --- brute force -------------------------------------------------------------
@@ -117,7 +142,40 @@ def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
                 assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fixed_path_matches_path_brute_differential(data):
+    # every endpoint pair of a random city set; up to 7 cities keeps the
+    # enumeration oracle fast
+    inst = data.draw(instances(3, 8))
+    cities = sorted(data.draw(st.sets(st.integers(1, inst.n), min_size=1, max_size=7)))
+    for a in cities:
+        for b in cities:
+            path = cities if a == b else [c for c in cities if c != b]
+            assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
+
+
 # --- restricted DP ---------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restricted_matches_supported_permutations_differential(data):
+    # the oracle lists every permutation f supports; most systems also hold
+    # the prefix-sets of a few orders, so that tours exist and can tie
+    inst = data.draw(instances(4, 7))
+    n = inst.n
+    kept = data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
+    masks = {m for m, keep in enumerate(kept) if keep}
+    for _ in range(data.draw(st.integers(0, 3))):
+        masks |= set(prefix_chain(data.draw(st.permutations(range(1, n + 1)))))
+    f = SetSystem(n, masks)
+    tours = [(inst.tour_value(p), p) for p in permutations(range(1, n + 1)) if supports(f, p)]
+    sol = restricted_dp(inst, f)
+    if tours:
+        assert (sol.value, sol.tour) == min(tours)
+    else:
+        assert sol is None
+
 
 @pytest.mark.parametrize("n", SIZES)
 def test_restricted_on_powerset_equals_held_karp(n):
@@ -177,10 +235,6 @@ def test_restricted_matches_supported_enumeration_oracle(low, high):
     # the cheapest cyclic cost with the lexicographically smallest witness;
     # narrow weight ranges make that witness the tie-breaker.  Each system
     # holds the prefix-sets of a random permutation, so every case has a tour
-    from itertools import permutations
-
-    from chainfold.systems import supports
-
     gen = SplitMix64(2024)
     for trial in range(30):
         n = 4 + gen.randbelow(3)
@@ -219,10 +273,6 @@ def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
     # signs cancel, positive ones push chain values close to 2^62: a sentinel
     # that does not stay above every chain value, or a sum that wraps around
     # int64, changes a value or a witness
-    from itertools import permutations
-
-    from chainfold.systems import supports
-
     big = WEIGHT_BOUND // n - 1
     weights = (big, -big) if signs == "mixed" else (big, big - 1)
     gen = SplitMix64(70 + n)
@@ -275,6 +325,30 @@ def test_gs_depth_zero_is_held_karp(n):
         inst = _instance(n, 60 + n, low, high)
         g, h = gurevich_shelah(inst, 0), held_karp(inst)
         assert (g.value, g.tour) == (h.value, h.tour)
+
+
+# at depth 1, n = 12 splits into leaves of 6 cities, all brute force; n = 13
+# adds leaves of 7 cities, answered one sweep per group over a city set
+@pytest.mark.parametrize("n", (12, 13))
+@pytest.mark.parametrize("low, high", [(1, 99), (1, 2), (-1, 1)], ids=["99", "ties", "negative"])
+def test_gs_batched_leaves_match_held_karp(n, low, high):
+    inst = _instance(n, 80 + n, low, high)
+    g, h = gurevich_shelah(inst, 1), held_karp(inst)
+    assert (g.value, g.tour) == (h.value, h.tour)
+
+
+@pytest.mark.parametrize("k", (7, 8))
+def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k):
+    # the two shapes of a leaf group: one first city with many last cities
+    # (a path's first half), many first cities with one last city (its rest)
+    inst = _instance(2 * k, k, 1, 2)
+    cities = sorted(SplitMix64(k).sample(2 * k, k))
+    outside = [c for c in range(1, 2 * k + 1) if c not in cities]
+    top = mask_of(cities)
+    for ends in ([(cities[0], b) for b in outside], [(a, outside[0]) for a in cities]):
+        got = _chain_dp(inst.dist, top, [(_submasks(top, a), a, b) for a, b in ends])
+        expected = [_fixed_path(inst.dist, cities, a, b) for a, b in ends]
+        assert [(value, order) for value, order, _ in got] == expected
 
 
 def test_gs_cap():

@@ -376,10 +376,11 @@ BAD_INT = "bad header: invalid literal for int() with base 10: 'x'"
     [
         (load_system, "'n'/'count'", "n 2\ncount x\n", BAD_INT),
         (load_instance, "'n'", "n x\n", BAD_INT),
+        (load_instance, "'n'", "n -1\n", "negative ground-set size"),
         (load_poset, "'n'", "n x\n", BAD_INT),
         (load_family, "'base'/'mode'", "base b.ss\nmode odd\n", "unknown mode 'odd'"),
     ],
-    ids=["system", "instance", "poset", "family"],
+    ids=["system", "instance", "instance-negative", "poset", "family"],
 )
 def test_file_header_messages(tmp_path, loader, keys, bad_header, bad_message):
     dump_system(powerset(2), tmp_path / "b.ss")
