@@ -352,8 +352,9 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
     first half's (first, a, y) for every y, and the rest's (rest, y, b) for
     every y.  One _chain_dp call answers a group, and each answer goes to
     the memo.  Leaves of up to brute_leaf cities are cheaper by _path_brute,
-    one at a time, so their groups are neither swept nor scanned in the
-    memo."""
+    one at a time, so their groups are not swept.  Under HELD_KARP_CAP only
+    the root's split (switch_depth 1, n >= 13) has larger leaves, and its
+    groups share no leaf, so no group is already in the memo."""
     n = inst.n
     if n > HELD_KARP_CAP:
         raise CapError(f"gurevich_shelah caps at n <= {HELD_KARP_CAP}")
@@ -365,16 +366,13 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
 
     def solve_leaves(cities: frozenset, starts, ends):
         # one sweep over top = cities answers every leaf (cities, a, b), a in
-        # starts and b in ends, that the memo lacks; brute-sized leaves are
-        # left to solve_path, so their memo keys are not scanned here
+        # starts and b in ends; brute-sized leaves are left to solve_path
         if len(cities) <= brute_leaf:
             return
-        todo = [(a, b) for a, b in product(starts, ends) if (cities, a, b) not in memo]
-        if not todo:
-            return
         top = mask_of(cities)
-        problems = [(_submasks(top, a), a, b) for a, b in todo]
-        for (a, b), (value, order, _) in zip(todo, _chain_dp(d, top, problems)):
+        pairs = list(product(starts, ends))
+        problems = [(_submasks(top, a), a, b) for a, b in pairs]
+        for (a, b), (value, order, _) in zip(pairs, _chain_dp(d, top, problems)):
             memo[cities, a, b] = value, order
 
     def solve_path(cities: frozenset, a: int, b: int, depth: int):

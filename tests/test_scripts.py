@@ -45,12 +45,12 @@ def test_script_runs(name, args, last_line):
     assert proc.stdout.splitlines()[-1].strip() == last_line
 
 
-def _race_with(monkeypatch, held_karp):
+def _race_with(monkeypatch, held_karp, *args):
     spec = importlib.util.spec_from_file_location("solver_race", SCRIPTS / "solver_race.py")
     race = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(race)
     monkeypatch.setattr(solver, "held_karp", held_karp)
-    monkeypatch.setattr(sys, "argv", ["solver_race.py", "--n", "7"])
+    monkeypatch.setattr(sys, "argv", ["solver_race.py", "--n", "7", *args])
     return race.main()
 
 
@@ -75,4 +75,18 @@ def test_solver_race_exits_1_on_another_witness(monkeypatch, capsys):
         return solver.Solution(sol.value, (1, *reversed(sol.tour[1:])), sol.table_entries)
 
     assert _race_with(monkeypatch, other_tour_held_karp) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("DISAGREEMENT: ")
+
+
+@pytest.mark.parametrize("args", [[], ["--trials", "20"]])
+def test_solver_race_exits_1_on_a_rotated_witness(monkeypatch, capsys, args):
+    # only a sampled split run has its tour read from city 1: another
+    # rotation from an exact solver is a disagreement, sampled run or not
+    held_karp = solver.held_karp
+
+    def rotated_held_karp(inst):
+        sol = held_karp(inst)
+        return solver.Solution(sol.value, sol.tour[1:] + sol.tour[:1], sol.table_entries)
+
+    assert _race_with(monkeypatch, rotated_held_karp, *args) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("DISAGREEMENT: ")
