@@ -36,6 +36,7 @@ finite-n gaps are reported separately by the finite-size helpers.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .systems import SetSystem, metrics
 
@@ -88,10 +89,18 @@ class BoundParams:
     gamma: float | None = None  # unused for the core-prefix family
 
 
+def _banded_range(a, b, g):
+    return 0.25 <= b <= g <= 0.5 and b <= a <= 0.5
+
+
+def _core_range(a, b):
+    return 0 < a <= 1 and a / 2 <= b <= a
+
+
 def banded_bounds(p: BoundParams) -> tuple[float, float]:
     """(lg S, lg P) for the banded-prefix family."""
     a, b, g = p.alpha, p.beta, p.gamma
-    if not (0.25 <= b <= g <= 0.5 and b <= a <= 0.5):
+    if not _banded_range(a, b, g):
         raise ValueError(f"parameters out of range: {p}")
     lg_s = max(a, (entropy(2 * b) + entropy(1 - 2 * g)) / 2)
     width = 0.5 - b
@@ -109,7 +118,7 @@ def banded_bounds(p: BoundParams) -> tuple[float, float]:
 def core_bounds(p: BoundParams) -> tuple[float, float]:
     """(lg S, lg P) for the regularly self-intersecting core-prefix family."""
     a, b = p.alpha, p.beta
-    if not (0 < a <= 1 and a / 2 <= b <= a):
+    if not _core_range(a, b):
         raise ValueError(f"parameters out of range: {p}")
     lg_s = max(a, (1 - a) + a * entropy(b / a))
     width = 1 - b
@@ -117,13 +126,23 @@ def core_bounds(p: BoundParams) -> tuple[float, float]:
     return lg_s, lg_p
 
 
+# each bound family by its CLI token: its bounds, its parameter range, and
+# the box optimize_params searches, one (lo, hi) per alpha, beta[, gamma]
+_FAMILIES = {
+    41: (banded_bounds, _banded_range, ((0.25, 0.5),) * 3),
+    45: (core_bounds, _core_range, ((1e-6, 1.0),) * 2),
+}
+
+
+def _family(theorem: int):
+    if theorem not in _FAMILIES:
+        raise ValueError(f"unknown bound family {theorem}; expected 41 or 45")
+    return _FAMILIES[theorem]
+
+
 def bounds_for(theorem: int, p: BoundParams) -> tuple[float, float]:
     """Dispatch on the CLI family token: 41 = banded, 45 = core."""
-    if theorem == 41:
-        return banded_bounds(p)
-    if theorem == 45:
-        return core_bounds(p)
-    raise ValueError(f"unknown bound family {theorem}; expected 41 or 45")
+    return _family(theorem)[0](p)
 
 
 # canonical anchor points used throughout
@@ -204,28 +223,7 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
     """
     if grid < 1e-4:
         raise ValueError("grid resolution below the 1e-4 floor")
-    if theorem == 41:
-        axes = ((0.25, 0.5), (0.25, 0.5), (0.25, 0.5))  # alpha, beta, gamma
-
-        def valid(a, b, g):
-            return 0.25 <= b <= g <= 0.5 and b <= a <= 0.5
-
-        def make(a, b, g):
-            return BoundParams(a, b, g)
-
-        evaluate = banded_bounds
-    elif theorem == 45:
-        axes = ((1e-6, 1.0), (1e-6, 1.0))  # alpha, beta
-
-        def valid(a, b):
-            return 0 < a <= 1 and a / 2 <= b <= a
-
-        def make(a, b):
-            return BoundParams(a, b)
-
-        evaluate = core_bounds
-    else:
-        raise ValueError(f"unknown bound family {theorem}")
+    evaluate, valid, axes = _family(theorem)
 
     def scan(centers, step):
         best = None
@@ -238,14 +236,11 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
                 ranges.append(
                     [min(max(c + i * step, lo), hi) for i in range(-3, 4)]
                 )
-        from itertools import product as iter_product
-
-        for coords in iter_product(*ranges):
-            if not valid(*coords):
+        for coords in product(*ranges):
+            if not valid(*coords):  # cheaper than the ValueError evaluate raises
                 continue
-            params = make(*coords)
             try:
-                lg_s, lg_p = evaluate(params)
+                lg_s, lg_p = evaluate(BoundParams(*coords))
             except ValueError:
                 continue
             if lg_s > target_lg_s + 1e-12:
@@ -263,7 +258,7 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
         refined = scan(best[1], step)
         if refined is not None and refined[0] < best[0]:
             best = refined
-    return make(*best[1])
+    return BoundParams(*best[1])
 
 
 # ---------------------------------------------------------------------------

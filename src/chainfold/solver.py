@@ -22,7 +22,7 @@ stays below 2^63: the int64 fill never overflows and never picks a missing
 successor.  Only two levels of values are alive at a time, the
 (rows x cities) temporaries are cut into CHUNK-cell pieces, and a row key
 packs the problem index above the set's bits, so a sweep holds at most
-2^(63 - n) problems.
+2^(63 - n) problems; _chain_dp cuts any stream of problems into sweeps.
 
 The callers differ only in the problems they hand the engine:
 
@@ -38,14 +38,13 @@ The callers differ only in the problems they hand the engine:
     share top, so one sweep answers the whole group.  Neither builds a
     SetSystem.
 
-    random_split_solver and framework_solver draw their systems lazily and
-    stream them through the same sweeps, so neither builds its whole list
-    of systems at once.  A sweep takes problems until it holds about
-    BATCH_ROWS candidate rows, so a large system's first cities are split
-    over several sweeps and its tables are never all alive together.  The
-    split systems come from constructions.split_system, the one builder
-    behind the warm-up split_band_system too; split_prefix_system only
-    turns alpha into its threshold.
+    random_split_solver and framework_solver draw their systems lazily,
+    stream every first city of every system through the same sweeps and
+    fold each answer into the best tour as it arrives; table_entries is the
+    largest table the run filled.  The split systems come from
+    constructions.split_system, the one builder behind the warm-up
+    split_band_system too; split_prefix_system only turns alpha into its
+    threshold.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah solves the tour as the path from city 1 back to
@@ -53,10 +52,9 @@ itself, recursively guessing the city set of a path's first half and the
 city that follows it; its smallest leaves are enumerated by _path_brute.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -162,49 +160,56 @@ def restricted_dp(inst: TspInstance, f: SetSystem):
     """Cheapest tour among those supported by f, or None when f admits no
     chain.  Runs the chain DP for every first city {c} in f, their problems
     swept together; table_entries is the largest of their tables."""
-    [sol] = _restricted_sweeps(inst, [f])
-    return sol
+    return _restricted_sweeps(inst, [f])
 
 
 def _restricted_sweeps(inst: TspInstance, systems):
-    """restricted_dp of each system, in order.  Systems are drawn lazily and
-    their chain problems, one per first city, are swept together about
-    BATCH_ROWS candidate rows at a time, so a solver never builds its whole
-    list of systems and a large system never holds all of its tables."""
+    """Lowest (value, tour) over the restricted DPs of every system, the
+    first on a tie, with the largest table the run filled; None when no
+    system admits a chain.  Systems are drawn lazily and each answer is
+    folded in as it arrives, so no list of systems or of tours is held."""
     n = inst.n
     full = (1 << n) - 1
-    waiting = deque()  # first-city counts of the systems not yielded yet
-    runs, problems, rows = [], [], 0
-    for f in chain(systems, [None]):
-        if f is None:
-            runs += _chain_dp(inst.dist, full, problems)
-        else:
+
+    def problems():
+        for f in systems:
             if f.n != n:
                 raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
             masks = f.mask_set()
-            firsts = []
             if 0 in masks and full in masks:
-                firsts = [c for c in range(1, n + 1) if 1 << (c - 1) in masks]
-            sets = np.fromiter(masks, np.int64, len(masks))
-            waiting.append(len(firsts))
-            for c in firsts:
-                problems.append((sets, c, c))
-                rows += len(sets)
-                if rows >= BATCH_ROWS:
-                    runs += _chain_dp(inst.dist, full, problems)
-                    problems, rows = [], 0
-        while waiting and waiting[0] <= len(runs):
-            k = waiting.popleft()
-            mine, runs = runs[:k], runs[k:]
-            peak = max((entries for _, _, entries in mine), default=0)
-            yield _best(Solution(value, tour, peak) for value, tour, _ in mine if value is not None)
+                sets = np.fromiter(masks, np.int64, len(masks))
+                yield from ((sets, c, c) for c in range(1, n + 1) if 1 << (c - 1) in masks)
+
+    best, peak = None, 0
+    for value, tour, entries in _chain_dp(inst.dist, full, problems()):
+        peak = max(peak, entries)
+        if value is not None and (best is None or (value, tour) < best):
+            best = value, tour
+    return None if best is None else Solution(*best, peak)
 
 
 def _chain_dp(d, top, problems):
-    """Solve chain problems (sets, first, last) that share d and top in one
-    level sweep.  A problem asks for the cheapest chain from {first} up to
-    top through its sets, paying d[c][e] for each step that adds city e after
-    city c and d[c][last] after the last city c of top.
+    """Answer chain problems (sets, first, last) that share d and top, one
+    (value, order, entries) per problem, in order.  The problems, any
+    iterable, are cut into _sweep calls of BATCH_ROWS candidate rows, or of
+    as many problems as fit beside a mask in an int64 key."""
+    room = 1 << (63 - top.bit_length())
+    batch, rows = [], 0
+    for problem in problems:
+        batch.append(problem)
+        rows += len(problem[0])
+        if rows >= BATCH_ROWS or len(batch) == room:
+            yield from _sweep(d, top, batch)
+            batch, rows = [], 0
+    if batch:
+        yield from _sweep(d, top, batch)
+
+
+def _sweep(d, top, problems):
+    """Solve a list of chain problems (sets, first, last) that share d and
+    top in one level sweep.  A problem asks for the cheapest chain from
+    {first} up to top through its sets, paying d[c][e] for each step that
+    adds city e after city c and d[c][last] after the last city c of top.
 
     sets is an int64 array of subsets of top; those without first are
     skipped.  A row is keyed (problem << top.bit_length()) | s, and its
@@ -223,9 +228,6 @@ def _chain_dp(d, top, problems):
     and entries counts the table's cells.
     """
     shift = top.bit_length()
-    room = 1 << (63 - shift)  # problem indices that fit beside a mask in an int64 key
-    if len(problems) > room:
-        return _chain_dp(d, top, problems[:room]) + _chain_dp(d, top, problems[room:])
     pos = [j for j in range(shift) if top >> j & 1]
     m = len(pos)
     bits = np.array([1 << j for j in pos], dtype=np.int64)
@@ -409,16 +411,6 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
     return Solution(*solve_path(frozenset(range(1, n + 1)), 1, 1, 0))
 
 
-def _best(solutions):
-    """Lowest (value, tour) among the solutions that are not None, the first
-    one on a full tie; None when there are none."""
-    return min(
-        (sol for sol in solutions if sol is not None),
-        key=lambda sol: (sol.value, sol.tour),
-        default=None,
-    )
-
-
 def split_prefix_system(n: int, chosen, alpha: float) -> SetSystem:
     """Prefix-set collection for one sampled half-split: subsets of the
     chosen half, supersets of it, and the middle band where at least
@@ -448,12 +440,11 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     else:
         gen = SplitMix64(seed)
         splits = (gen.sample(n, half) for _ in range(trials))
-    # a repeated draw reuses the first draw's solution, which _best keeps on
-    # the tie, so only the first draw of each split is solved
+    # a repeated draw ties its first draw, so only the first one is solved
     seen = set()
     fresh = (chosen for chosen in splits if not (chosen in seen or seen.add(chosen)))
     systems = (split_prefix_system(n, chosen, alpha) for chosen in fresh)
-    return _best(_restricted_sweeps(inst, systems))
+    return _restricted_sweeps(inst, systems)
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
@@ -497,7 +488,7 @@ def framework_solver(
         return combined
 
     tuples = product(*(range(len(ms)) for ms in member_systems))
-    best = _best(_restricted_sweeps(inst, map(assemble, tuples)))
+    best = _restricted_sweeps(inst, map(assemble, tuples))
     if best is None:
         raise ValueError("no index tuple admits a tour")
     return best

@@ -1,4 +1,5 @@
-"""Smoke checks for the reports under scripts/: exit code and final line."""
+"""Smoke checks for the reports under scripts/ and the benchmark's self-test:
+exit code and final line."""
 
 import importlib.util
 import os
@@ -43,6 +44,20 @@ def test_script_runs(name, args, last_line):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].strip() == last_line
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark calls the package's API; a change under src/ that breaks
+    # a call it makes fails here, not only when the benchmark next runs
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "selftest: 0 failures"
 
 
 def _race_with(monkeypatch, held_karp, *args):

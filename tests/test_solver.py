@@ -18,8 +18,8 @@ from chainfold.rng import SplitMix64
 from chainfold.solver import (
     BATCH_ROWS,
     WEIGHT_BOUND,
+    Solution,
     TspInstance,
-    _best,
     _chain_dp,
     _fixed_path,
     _path_brute,
@@ -346,7 +346,7 @@ def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k):
     outside = [c for c in range(1, 2 * k + 1) if c not in cities]
     top = mask_of(cities)
     for ends in ([(cities[0], b) for b in outside], [(a, outside[0]) for a in cities]):
-        got = _chain_dp(inst.dist, top, [(_submasks(top, a), a, b) for a, b in ends])
+        got = list(_chain_dp(inst.dist, top, [(_submasks(top, a), a, b) for a, b in ends]))
         expected = [_fixed_path(inst.dist, cities, a, b) for a, b in ends]
         assert [(value, order) for value, order, _ in got] == expected
 
@@ -395,14 +395,19 @@ def test_warmup_prescribed_trials_statistical_regression():
 @pytest.mark.parametrize("n", range(6, 10))
 def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
     # the split and framework solvers sweep many systems at once; each must
-    # return _best of one restricted_dp per system, table_entries included,
-    # and a mixed stream of systems must give restricted_dp of each, in
-    # order, whether a sweep holds one first city or many systems
+    # return the lowest (value, tour) of one restricted_dp per system with
+    # the largest table_entries, and so must a mixed stream of systems,
+    # whether a sweep holds one first city or many systems
     from functools import reduce
     from itertools import combinations, product
 
     from chainfold import solver, verify
     from chainfold.systems import union_product
+
+    def best_of(solutions):
+        solutions = [sol for sol in solutions if sol is not None]
+        value, tour = min((sol.value, sol.tour) for sol in solutions)
+        return Solution(value, tour, max(sol.table_entries for sol in solutions))
 
     inst = random_instance(n, 40 + n, max_weight=2)
     half = n // 2
@@ -417,10 +422,10 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
     mixed += [SetSystem(n, {gen.randbelow(full) for _ in range(4 * n)} | set(prefix_chain(gen.permutation(n))))
               for _ in range(6)]
     expected = {
-        "exhaustive": _best(restricted_dp(inst, split_prefix_system(n, c, 0.445)) for c in exhaustive),
-        "sampled": _best(restricted_dp(inst, split_prefix_system(n, c, 0.3)) for c in drawn),
-        "framework": _best(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
-        "mixed": [restricted_dp(inst, f) for f in mixed],
+        "exhaustive": best_of(restricted_dp(inst, split_prefix_system(n, c, 0.445)) for c in exhaustive),
+        "sampled": best_of(restricted_dp(inst, split_prefix_system(n, c, 0.3)) for c in drawn),
+        "framework": best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
+        "mixed": best_of(restricted_dp(inst, f) for f in mixed),
     }
     for batch_rows in (1, 3 << n, BATCH_ROWS):
         monkeypatch.setattr(solver, "BATCH_ROWS", batch_rows)
@@ -428,9 +433,65 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
             "exhaustive": random_split_solver(inst, 0.445, comb(n, half), seed=0),
             "sampled": random_split_solver(inst, 0.3, comb(n, half) - 1, seed=3),
             "framework": framework_solver(inst, block_size, families),
-            "mixed": list(solver._restricted_sweeps(inst, mixed)),
+            "mixed": solver._restricted_sweeps(inst, mixed),
         }
         assert got == expected
+
+
+def test_batched_solvers_keep_the_largest_table_beside_the_best_tour():
+    # the optimal tour's own prefix chain is a small system that wins; a
+    # bigger system that misses every rotation of that tour (it finds
+    # another tour of the same value, larger from city 1) fills the largest
+    # table, and the answer reports that table, whichever system comes first
+    from chainfold import solver
+
+    n = 7
+    inst = random_instance(n, 5)
+    best = held_karp(inst)
+    small = SetSystem(n, prefix_chain(best.tour))
+    cycle = best.tour + best.tour[:1]
+    cut = {mask_of(pair) for pair in zip(cycle, cycle[1:])}
+    big = SetSystem(n, set(powerset(n).mask_set()) - cut)
+    from_big, from_small = restricted_dp(inst, big), restricted_dp(inst, small)
+    assert (from_big.value, from_big.tour) > (best.value, best.tour) == (from_small.value, from_small.tour)
+    assert from_small.table_entries < from_big.table_entries
+    expected = Solution(100, (1, 5, 6, 4, 3, 2, 7), 252)
+    assert Solution(best.value, best.tour, from_big.table_entries) == expected
+    for stream in ([small, big], [big, small]):
+        assert solver._restricted_sweeps(inst, stream) == expected
+
+
+def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
+    # one problem per sweep when a single problem fills BATCH_ROWS or the
+    # int64 key has room for one problem index (n = 63), all in one sweep
+    # when the rows never fill; a generator gives what a list gives
+    from chainfold import solver
+
+    sizes = []
+    sweep = solver._sweep
+
+    def recording(d, top, problems):
+        sizes.append(len(problems))
+        return sweep(d, top, problems)
+
+    inst = random_instance(6, 1)
+    top = (1 << 6) - 1
+    problems = [(_submasks(top, a), a, a) for a in range(1, 7)]  # 32 rows each
+    expected = list(_chain_dp(inst.dist, top, problems))
+    monkeypatch.setattr(solver, "_sweep", recording)
+    for batch_rows, cut in ((1, [1] * 6), (1 << 40, [6]), (2 * 32, [2] * 3)):
+        monkeypatch.setattr(solver, "BATCH_ROWS", batch_rows)
+        for stream in (problems, (p for p in problems)):
+            sizes.clear()
+            assert list(_chain_dp(inst.dist, top, stream)) == expected
+            assert sizes == cut
+    monkeypatch.setattr(solver, "BATCH_ROWS", 1 << 40)
+    gen = SplitMix64(63)
+    f = SetSystem(63, {m for _ in range(4) for m in prefix_chain(gen.permutation(63))})
+    firsts = sum(1 for c in range(1, 64) if 1 << (c - 1) in f.mask_set())
+    sizes.clear()
+    assert restricted_dp(_instance(63, 63, 1, 3), f) is not None
+    assert sizes == [1] * firsts and firsts > 1
 
 
 def test_warmup_validation():
