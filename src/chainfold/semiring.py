@@ -12,7 +12,11 @@ check.
 Three evaluators, strongest preconditions last:
 
 * evaluate_brute -- fold over all n! permutations; the oracle.
-* evaluate_dp    -- subset DP with the last d-1 entries in the state.
+* evaluate_dp    -- subset DP with the last d-1 entries in the state, swept
+  level by level and grouped by prefix mask.  Zero states are never kept
+  (sound by the annihilation law, see SemiringDescriptor), so counting linear
+  extensions visits downsets only, and the DP is capped by the states it
+  holds at once (STATE_BUDGET), not by n.
 * evaluate_restricted / evaluate_unique -- per-member restricted DPs over a
   covering family, combined with (+).  Restricted needs an additively
   idempotent semiring (overlapping members would otherwise double-count);
@@ -34,7 +38,10 @@ from .systems import GROUND_CAP, CapError, FormatError, read_int_headers
 
 DEGREE_CAP = 3
 BRUTE_CAP = 8
-DP_CAP = 20
+# live (mask, tail) states of the semiring DP: about 100 MiB of Python objects
+# at degree 2 (104 B a state under tracemalloc, n = 14, int values) and about
+# 330 MiB at degree <= 1, where each mask holds its one state in its own dict
+STATE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,9 @@ class SemiringDescriptor:
     """Opaque value domain with caller-supplied operations.
 
     (add, zero) must be a commutative monoid, (mul, one) a monoid, mul must
-    distribute over add; idempotent asserts add(x, x) == x for all x.
+    distribute over add, and zero must annihilate:
+    mul(zero, x) == zero == mul(x, zero) for all x.  The DP relies on the
+    last law to drop zero states.  idempotent asserts add(x, x) == x for all x.
     """
 
     name: str
@@ -105,48 +114,75 @@ def evaluate_brute(p: PermutationProblem):
 
 
 def _dp_over_masks(p: PermutationProblem, allowed=None):
-    """Subset DP with states (prefix mask, last d-1 entries).
+    """Subset DP with states (prefix mask, last d-1 entries), swept level by
+    level; a level is {mask: {tail: value}} and holds only nonzero states.
+
+    Each mask walks its free elements once, tests each successor mask against
+    allowed once, and then extends every tail it holds.  A cost that is the
+    semiring's zero object skips its multiply, and a contribution equal to
+    zero never creates a state: by annihilation, mul(zero, x) = zero, so a
+    zero state would only pass zero on.  Counting linear extensions thus
+    visits downsets only.  The visiting order is deterministic, so the cost
+    calls repeat exactly from run to run.
 
     allowed, when given, restricts prefix masks to a set system's masks; the
     per-state sums then range over exactly the supported permutations.
+    Raises CapError once more than STATE_BUDGET states are live at once: the
+    level being swept plus the states created so far in the next.
     """
-    add, mul = p.semiring.add, p.semiring.mul
+    add, mul, zero = p.semiring.add, p.semiring.mul, p.semiring.zero
     cost = p.local_cost
     n, d = p.n, p.degree
     keep = max(0, d - 1)
+    full = (1 << n) - 1
     if allowed is not None and 0 not in allowed:
-        return p.semiring.zero
-    states = {(0, ()): p.semiring.one}
-    for _ in range(n):
+        return zero
+    level, width = {0: {(): p.semiring.one}}, 1
+    for j in range(n):
+        # tails here hold min(keep, j) entries, so tail + (v,) is the cost's
+        # tail of min(d, j + 1) entries; past the first keep levels the next
+        # state drops its oldest entry
+        cut = 1 if d and j >= keep else 0
+        live = width
         nxt = {}
-        for (mask, tail), val in states.items():
-            for v in range(1, n + 1):
-                bit = 1 << (v - 1)
-                if mask & bit:
-                    continue
+        for mask, tails in level.items():
+            free = full & ~mask
+            while free:
+                bit = free & -free
+                free ^= bit
                 m2 = mask | bit
                 if allowed is not None and m2 not in allowed:
                     continue
-                args = tail + (v,)
-                w = cost(m2, args[-d:] if d else ())
-                t2 = args[-keep:] if keep else ()
-                key = (m2, t2)
-                contrib = mul(val, w)
-                if key in nxt:
-                    nxt[key] = add(nxt[key], contrib)
-                else:
-                    nxt[key] = contrib
-        states = nxt
-    total = p.semiring.zero
-    for val in states.values():
-        total = add(total, val)
+                newest = (bit.bit_length(),) if d else ()
+                row = nxt.get(m2)
+                if row is None:
+                    row = {}
+                for tail, val in tails.items():
+                    args = tail + newest
+                    w = cost(m2, args)
+                    if w is zero:
+                        continue
+                    t2 = args[cut:]
+                    contrib = mul(val, w)
+                    if t2 in row:
+                        row[t2] = add(row[t2], contrib)
+                    elif contrib != zero:
+                        row[t2] = contrib
+                        live += 1
+                        if live > STATE_BUDGET:
+                            raise CapError(f"semiring DP holds over {STATE_BUDGET} live states")
+                if row:
+                    nxt[m2] = row
+        level, width = nxt, live - width
+    total = zero
+    for tails in level.values():
+        for val in tails.values():
+            total = add(total, val)
     return total
 
 
 def evaluate_dp(p: PermutationProblem):
     """DP evaluation over all permutations; equals evaluate_brute."""
-    if p.n > DP_CAP:
-        raise CapError(f"DP evaluation caps at n <= {DP_CAP}")
     return _dp_over_masks(p)
 
 

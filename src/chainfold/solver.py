@@ -41,7 +41,9 @@ The callers differ only in the problems they hand the engine:
     random_split_solver and framework_solver draw their systems lazily,
     stream every first city of every system through the same sweeps and
     fold each answer into the best tour as it arrives; table_entries is the
-    largest table the run filled.  The split systems come from
+    largest table the run filled.  The split solver rotates each tour to
+    start at city 1 first; restricted_dp keeps the rotation it solved, so
+    every prefix of its tour lies in f.  The split systems come from
     constructions.split_system, the one builder behind the warm-up
     split_band_system too; split_prefix_system only turns alpha into its
     threshold.
@@ -163,11 +165,13 @@ def restricted_dp(inst: TspInstance, f: SetSystem):
     return _restricted_sweeps(inst, [f])
 
 
-def _restricted_sweeps(inst: TspInstance, systems):
+def _restricted_sweeps(inst: TspInstance, systems, from_city_1=False):
     """Lowest (value, tour) over the restricted DPs of every system, the
     first on a tie, with the largest table the run filled; None when no
     system admits a chain.  Systems are drawn lazily and each answer is
-    folded in as it arrives, so no list of systems or of tours is held."""
+    folded in as it arrives, so no list of systems or of tours is held.
+    With from_city_1, each tour is rotated to start at city 1 before it is
+    folded in, so the fold compares cycles rather than their rotations."""
     n = inst.n
     full = (1 << n) - 1
 
@@ -183,7 +187,12 @@ def _restricted_sweeps(inst: TspInstance, systems):
     best, peak = None, 0
     for value, tour, entries in _chain_dp(inst.dist, full, problems()):
         peak = max(peak, entries)
-        if value is not None and (best is None or (value, tour) < best):
+        if value is None:
+            continue
+        if from_city_1:
+            at = tour.index(1)
+            tour = tour[at:] + tour[:at]
+        if best is None or (value, tour) < best:
             best = value, tour
     return None if best is None else Solution(*best, peak)
 
@@ -427,7 +436,9 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     with enough trials some split brackets the optimal tour.  When trials
     covers all C(n, floor(n/2)) splits the enumeration is exhaustive (and
     deterministic), which makes the solver an exact oracle.  Repeated draws
-    of the same split reuse the cached result.
+    of the same split reuse the cached result.  Every answer is rotated to
+    start at city 1, as every other solver's is: a sampled split may support
+    the optimal cycle only from another city.
     """
     n = inst.n
     if not 0 <= alpha <= 0.5:
@@ -444,7 +455,7 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     seen = set()
     fresh = (chosen for chosen in splits if not (chosen in seen or seen.add(chosen)))
     systems = (split_prefix_system(n, chosen, alpha) for chosen in fresh)
-    return _restricted_sweeps(inst, systems)
+    return _restricted_sweeps(inst, systems, from_city_1=True)
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:

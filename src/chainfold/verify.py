@@ -19,7 +19,8 @@ pin their tolerances here, not in the callers:
   fraction         supported count = (M/N) n!, exhaustive relabelings
   lower-bound      C(F) <= (ceil(n/(k+1))!)^(k+1) |F|^k over the corpus
   cover            cover completeness, exact-once families, unique counting
-  count-le         linear-extension counts vs brute enumeration
+  count-le         linear-extension counts vs brute enumeration, and a
+                   40-chain and a union of chains past the brute range
   regular          regular self-intersection checks
   jlr              tower-of-cubes density vs the banded family, side by side
 """
@@ -344,11 +345,25 @@ def suite_count_le() -> SuiteResult:
     chain = semiring.Poset.from_relations(7, [(i, i + 1) for i in range(1, 7)])
     ok_anti = semiring.count_linear_extensions(anti) == factorial(6)
     ok_chain = semiring.count_linear_extensions(chain) == 1
+    # beyond brute force: a 40-chain, and disjoint chains 1..8, 9..16,
+    # 17..23, 24..30 (5184 downsets), counted by the multinomial
+    long_chain = semiring.Poset.from_relations(40, [(i, i + 1) for i in range(1, 40)])
+    ok_long = semiring.count_linear_extensions(long_chain) == 1
+    lengths, starts = (8, 8, 7, 7), (1, 9, 17, 24)
+    union = semiring.Poset.from_relations(
+        30, [(a + i, a + i + 1) for a, k in zip(starts, lengths) for i in range(k - 1)]
+    )
+    multinomial = factorial(30)
+    for k in lengths:
+        multinomial //= factorial(k)
+    ok_union = semiring.count_linear_extensions(union) == multinomial
     lines = [
         f"{tested} random posets match brute enumeration: {bad == 0}",
         f"antichain(6) = 6!: {ok_anti}; chain(7) = 1: {ok_chain}",
+        f"chain(40) = 1: {ok_long}; chains 8+8+7+7 = 30!/(8!8!7!7!): {ok_union}",
     ]
-    return SuiteResult("count-le", bad == 0 and ok_anti and ok_chain, lines)
+    ok = bad == 0 and ok_anti and ok_chain and ok_long and ok_union
+    return SuiteResult("count-le", ok, lines)
 
 
 def suite_regular() -> SuiteResult:

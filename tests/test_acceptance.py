@@ -15,7 +15,8 @@ Criterion numbering:
    9 fraction           supported count = (M/N) n!, exhaustive relabelings
   10 lower-bound        C(F) <= (ceil(n/(k+1))!)^(k+1) |F|^k, corpus x k in 0..6
   11 cover              coverage complete, exact-once, unique counting = n!
-  12 count-le           100 random posets vs brute, antichain/chain anchors
+  12 count-le           100 random posets vs brute, antichain/chain anchors,
+                        chain(40) and chains 8+8+7+7 by the multinomial
   13 regular            exhaustive self-intersection checks
   14 jlr                tower density vs banded family, side-by-side emission
 """

@@ -253,6 +253,24 @@ def test_count_le_chain(capsys, tmp_path):
     assert code == 0 and out.strip() == "count 1"
 
 
+def test_count_le_long_chain_runs_past_brute_range(capsys, tmp_path):
+    # the DP is capped by live states, and a chain holds one per level
+    poset = tmp_path / "chain40.po"
+    poset.write_text("n 40\n" + "".join(f"{i} < {i+1}\n" for i in range(1, 40)))
+    code, out = run_cli(capsys, "count-le", "--poset", str(poset))
+    assert code == 0 and out == "count 1\n"
+
+
+def test_count_le_over_state_budget_exits_3(capsys, tmp_path, monkeypatch):
+    from chainfold import semiring
+
+    monkeypatch.setattr(semiring, "STATE_BUDGET", 30)
+    poset = tmp_path / "anti6.po"
+    poset.write_text("n 6\n")  # antichain: 35 live states at its widest
+    code, out = run_cli(capsys, "count-le", "--poset", str(poset))
+    assert code == 3 and out == ""
+
+
 def test_count_le_corrupted_exits_2(capsys, tmp_path):
     poset = tmp_path / "bad.po"
     poset.write_text("n 3\n1 < 2\n2 < 1\n")

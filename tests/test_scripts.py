@@ -95,8 +95,8 @@ def test_solver_race_exits_1_on_another_witness(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args", [[], ["--trials", "20"]])
 def test_solver_race_exits_1_on_a_rotated_witness(monkeypatch, capsys, args):
-    # only a sampled split run has its tour read from city 1: another
-    # rotation from an exact solver is a disagreement, sampled run or not
+    # every solver, the sampled split run included, answers from city 1:
+    # another rotation from an exact solver is a disagreement
     held_karp = solver.held_karp
 
     def rotated_held_karp(inst):

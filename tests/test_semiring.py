@@ -6,6 +6,7 @@ from math import factorial, inf
 
 import pytest
 
+from chainfold import semiring
 from chainfold.constructions import core_prefix_system, from_spec, powerset
 from chainfold.cover import CoverFamily, exactly_once, greedy_prune, make_unique, random_cover
 from chainfold.rng import SplitMix64
@@ -28,7 +29,7 @@ from chainfold.semiring import (
     tsp_path_problem,
 )
 from chainfold.solver import random_instance
-from chainfold.systems import CapError, FormatError
+from chainfold.systems import CapError, FormatError, SetSystem, supports
 
 
 # --- semiring axioms ----------------------------------------------------------
@@ -60,6 +61,7 @@ def test_semiring_axioms(descriptor):
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         assert add(a, zero) == a
         assert mul(a, one) == a == mul(one, a)
+        assert mul(zero, a) == zero == mul(a, zero)  # the DP drops zero states
         if descriptor.idempotent:
             assert add(a, a) == a
 
@@ -119,12 +121,16 @@ def test_cyclic_tour_via_split_city_reduction():
 
 
 def _random_problem(gen, n, degree, descriptor):
+    """Costs drawn on first use, the semiring zero about a third of the time,
+    so the DP skips transitions; the draws follow the order of the calls."""
     table = {}
 
     def cost(mask, tail):
         key = (mask, tail)
         if key not in table:
-            if descriptor is MIN_PLUS:
+            if gen.randbelow(3) == 0:
+                table[key] = descriptor.zero
+            elif descriptor is MIN_PLUS:
                 table[key] = gen.randbelow(30)
             elif descriptor is COUNTING:
                 table[key] = gen.randbelow(5)
@@ -136,13 +142,33 @@ def _random_problem(gen, n, degree, descriptor):
 
 
 @pytest.mark.parametrize("descriptor", [MIN_PLUS, COUNTING, MAX_TIMES])
-@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_dp_matches_brute_random_problems(descriptor, degree):
     gen = SplitMix64(degree * 101 + 7)
     for trial in range(4):
         n = 3 + gen.randbelow(4)
         p = _random_problem(gen, n, degree, descriptor)
         assert evaluate_dp(p) == evaluate_brute(p)
+
+
+@pytest.mark.parametrize("descriptor", [MIN_PLUS, COUNTING, MAX_TIMES])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_restricted_dp_matches_brute_over_supported_permutations(descriptor, degree):
+    # the DP over a system's masks folds exactly the permutations whose
+    # prefix sets all lie in the system
+    gen = SplitMix64(degree * 37 + 5)
+    supported = []
+    for trial in range(4):
+        n = 3 + gen.randbelow(4)
+        f = SetSystem(n, {m for m in range(1 << n) if gen.randbelow(4)} | {0, (1 << n) - 1})
+        p = _random_problem(gen, n, degree, descriptor)
+        ref = descriptor.zero
+        perms = [perm for perm in permutations(range(1, n + 1)) if supports(f, perm)]
+        for perm in perms:
+            ref = descriptor.add(ref, p.value(perm))
+        assert _dp_over_masks(p, f.mask_set()) == ref
+        supported.append(len(perms) / factorial(n))
+    assert 0 < min(supported) and max(supported) < 1
 
 
 @pytest.mark.parametrize("descriptor", [MIN_PLUS, COUNTING, MAX_TIMES])
@@ -284,6 +310,67 @@ def test_antichain_and_total_order():
     assert count_linear_extensions(Poset.from_relations(3, [])) == 6
     chain = Poset.from_relations(6, [(i, i + 1) for i in range(1, 6)])
     assert count_linear_extensions(chain) == 1
+
+
+def _counted(problem):
+    """The problem with its local cost wrapped to count calls."""
+    calls = []
+
+    def cost(mask, tail):
+        calls.append(None)
+        return problem.local_cost(mask, tail)
+
+    return PermutationProblem(problem.n, problem.degree, cost, problem.semiring), calls
+
+
+def _chain(n):
+    return Poset.from_relations(n, [(i, i + 1) for i in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "poset, count, calls",
+    [
+        (_chain(6), 1, 21),  # one downset per level: 6 + 5 + ... + 1
+        (Poset.from_relations(6, []), 720, 192),  # every mask: 6 * 2^5, none skipped
+        (_chain(40), 1, 820),  # 40 + 39 + ... + 1
+    ],
+    ids=["chain6", "antichain6", "chain40"],
+)
+def test_linear_extension_dp_visits_downsets_only(poset, count, calls):
+    p, seen = _counted(linear_extension_problem(poset))
+    assert evaluate_dp(p) == count
+    assert len(seen) == calls
+
+
+def test_an_equal_but_distinct_zero_creates_no_state_either():
+    # a cost of Fraction(0) is not the semiring's zero object, so its
+    # multiply runs, but the zero product still creates no state
+    preds = _chain(6).pred_masks
+    p, seen = _counted(PermutationProblem(
+        6, 1, lambda mask, tail: Fraction(0) if preds[tail[-1] - 1] & ~mask else 1, COUNTING
+    ))
+    assert evaluate_dp(p) == 1
+    assert len(seen) == 21
+
+
+def test_state_budget_caps_every_semiring_dp(monkeypatch):
+    # the budget counts live (mask, tail) states, not n: the antichain on 6
+    # elements holds 20 + 15 states at its widest two levels, a 40-chain at
+    # most 2
+    monkeypatch.setattr(semiring, "STATE_BUDGET", 34)
+    assert count_linear_extensions(_chain(40)) == 1
+    with pytest.raises(CapError):
+        count_linear_extensions(Poset.from_relations(6, []))
+    monkeypatch.setattr(semiring, "STATE_BUDGET", 35)
+    assert count_linear_extensions(Poset.from_relations(6, [])) == 720
+    # the per-member DPs of a family run under the same budget
+    monkeypatch.setattr(semiring, "STATE_BUDGET", 4)
+    fam = CoverFamily(powerset(4), ((1, 2, 3, 4),))
+    with pytest.raises(CapError):
+        evaluate_restricted(tsp_path_problem(random_instance(4, 3)), fam)
+    fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
+    with pytest.raises(CapError):
+        evaluate_unique(PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING), fam)
 
 
 def test_random_posets_match_brute():

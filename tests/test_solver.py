@@ -372,6 +372,23 @@ def test_warmup_exhaustive_matches_brute(n):
     assert sol.value == b.value and sol.tour == b.tour
 
 
+@pytest.mark.parametrize("n, first", [(12, 6), (13, 2)])
+def test_sampled_split_tour_is_rotated_to_city_1(n, first):
+    # none of these 70 sampled splits supports the optimal cycle from city 1:
+    # unrotated, the best system's tour starts at city `first`; the solver
+    # answers with that cycle read from city 1, which is held_karp's witness
+    from chainfold import solver
+
+    gen = SplitMix64(0)
+    drawn = dict.fromkeys(gen.sample(n, n // 2) for _ in range(70))
+    inst = random_instance(n, 0)
+    systems = (split_prefix_system(n, chosen, 0.445) for chosen in drawn)
+    assert solver._restricted_sweeps(inst, systems).tour[0] == first
+    sol = random_split_solver(inst, 0.445, 70, 0)
+    ref = held_karp(inst)
+    assert (sol.value, sol.tour) == (ref.value, ref.tour)
+
+
 def test_warmup_prescribed_trials_statistical_regression():
     # n = 10, alpha = 0.445: a split works with probability
     # p = C(n - 2 t, n/2 - t) / C(n, n/2) = 2/252; the prescribed budget of
@@ -409,6 +426,10 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
         value, tour = min((sol.value, sol.tour) for sol in solutions)
         return Solution(value, tour, max(sol.table_entries for sol in solutions))
 
+    def from_city_1(sol):  # the split solver folds tours rotated to city 1
+        at = sol.tour.index(1)
+        return Solution(sol.value, sol.tour[at:] + sol.tour[:at], sol.table_entries)
+
     inst = random_instance(n, 40 + n, max_weight=2)
     half = n // 2
     gen = SplitMix64(3)
@@ -422,8 +443,10 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
     mixed += [SetSystem(n, {gen.randbelow(full) for _ in range(4 * n)} | set(prefix_chain(gen.permutation(n))))
               for _ in range(6)]
     expected = {
-        "exhaustive": best_of(restricted_dp(inst, split_prefix_system(n, c, 0.445)) for c in exhaustive),
-        "sampled": best_of(restricted_dp(inst, split_prefix_system(n, c, 0.3)) for c in drawn),
+        "exhaustive": best_of(from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.445)))
+                              for c in exhaustive),
+        "sampled": best_of(from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.3)))
+                           for c in drawn),
         "framework": best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
         "mixed": best_of(restricted_dp(inst, f) for f in mixed),
     }
