@@ -120,6 +120,8 @@ def cmd_eval(args) -> int:
         if not args.instance:
             raise systems.FormatError("eval --problem tsp needs --instance FILE")
         problem = semiring.tsp_path_problem(solver.load_instance(args.instance))
+        if args.method == "dp":
+            semiring.check_tsp_budget(problem.n)
     else:
         if not args.poset:
             raise systems.FormatError("eval --problem le needs --poset FILE")

@@ -41,7 +41,7 @@ whole predicate exhaustively at small n.
 import math
 from itertools import combinations
 
-from .systems import GROUND_CAP, CapError, SetSystem, mask_of
+from .systems import GROUND_CAP, CapError, SetSystem, mask_of, submasks
 
 TOWER_LEVEL_CAP = 28  # per-level 2^t enumeration
 
@@ -87,16 +87,6 @@ def koivisto_parviainen() -> SetSystem:
     return tower_of_cubes(13, 2)
 
 
-def _submasks(mask: int) -> list[int]:
-    """Every submask of mask, from mask itself down to 0."""
-    out = [mask]
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        out.append(sub)
-    return out
-
-
 def split_system(n: int, chosen, t: int) -> SetSystem:
     """Minimal system supporting the permutations of [n] whose first t
     entries are chosen and whose last t are not (t at most the size of
@@ -108,8 +98,8 @@ def split_system(n: int, chosen, t: int) -> SetSystem:
     """
     cmask = mask_of(chosen)
     rest = ((1 << n) - 1) ^ cmask
-    lows = _submasks(cmask)
-    highs = _submasks(rest)
+    lows = submasks(cmask).tolist()
+    highs = submasks(rest).tolist()
     cap = rest.bit_count() - t
     band_highs = [b for b in highs if b.bit_count() <= cap]
     masks = set(lows)

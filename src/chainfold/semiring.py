@@ -31,7 +31,7 @@ that the state blowup defeats the desk-scale purpose.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import inf
+from math import comb, inf
 
 from .cover import CoverFamily, exactly_once
 from .systems import GROUND_CAP, CapError, FormatError, read_int_headers
@@ -170,7 +170,7 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
                         row[t2] = contrib
                         live += 1
                         if live > STATE_BUDGET:
-                            raise CapError(f"semiring DP holds over {STATE_BUDGET} live states")
+                            raise _over_budget()
                 if row:
                     nxt[m2] = row
         level, width = nxt, live - width
@@ -179,6 +179,10 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
         for val in tails.values():
             total = add(total, val)
     return total
+
+
+def _over_budget() -> CapError:
+    return CapError(f"semiring DP holds over {STATE_BUDGET} live states")
 
 
 def evaluate_dp(p: PermutationProblem):
@@ -234,6 +238,23 @@ def tsp_path_problem(inst) -> PermutationProblem:
         return d[tail[0]][tail[1]]
 
     return PermutationProblem(inst.n, 2, cost, MIN_PLUS)
+
+
+def tsp_live_peak(n: int) -> int:
+    """The most states evaluate_dp holds at once on a tsp_path_problem of n
+    cities.  Every cost is finite, so every (mask, last city) state is live:
+    the step from level k holds C(n, k) masks of k tails each (one empty
+    tail at k = 0) beside C(n, k+1) masks of k+1."""
+    return max(
+        (comb(n, k) * max(k, 1) + comb(n, k + 1) * (k + 1) for k in range(n)), default=1
+    )
+
+
+def check_tsp_budget(n: int) -> None:
+    """Refuse, before any sweep, a TSP evaluation that the DP would refuse
+    once its live states pass STATE_BUDGET."""
+    if tsp_live_peak(n) > STATE_BUDGET:
+        raise _over_budget()
 
 
 # ---------------------------------------------------------------------------

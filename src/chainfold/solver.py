@@ -64,7 +64,15 @@ import numpy as np
 from .constructions import split_system
 from .cover import CoverFamily, covers_all
 from .rng import SplitMix64
-from .systems import CapError, FormatError, SetSystem, mask_of, read_int_headers, union_product
+from .systems import (
+    CapError,
+    FormatError,
+    SetSystem,
+    mask_of,
+    read_int_headers,
+    submasks,
+    union_product,
+)
 
 HELD_KARP_CAP = 24
 BRUTE_CAP = 11
@@ -316,15 +324,9 @@ def _sweep(d, top, problems):
 
 
 def _submasks(top, first):
-    """Every subset of top that holds first, as an int64 array."""
+    """Every subset of top that holds first, ascending, as an int64 array."""
     fbit = 1 << (first - 1)
-    subs = np.zeros(1, dtype=np.int64)
-    rest = top & ~fbit
-    while rest:
-        low = rest & -rest
-        subs = np.concatenate((subs, subs | low))
-        rest ^= low
-    return subs | fbit
+    return submasks(top & ~fbit) | fbit
 
 
 def _fixed_path(d, cities, a, b):

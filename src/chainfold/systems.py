@@ -16,18 +16,25 @@ bijection with maximal chains.  The normalized quantities
 drive everything downstream: a system with small S and P yields a TSP
 algorithm with space S^(n+o(n)) and time (S*P)^(n+o(n)).
 
-Chain counts are exact arbitrary-precision integers (n! overflows 64 bits at
-n=21); floats enter only in the final metric normalization.  Permutations are
-tuples of the values 1..n.  All operations are pure; values are immutable
-after construction and safe to share across threads.
+Chain counts are exact: a level-k count is at most k!, so the sweep keeps
+them in int64 through level 20 (20! < 2^63) and in Python ints above it,
+and returns Python ints; floats enter only in the final metric
+normalization.  Permutations are tuples of the values 1..n.  All operations
+are pure; values are immutable after construction and safe to share across
+threads.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
+import numpy as np
+
 GROUND_CAP = 63  # sparse systems stay within one machine word
 ORACLE_CAP = 10  # n! enumeration oracles
+CHAIN_CELLS = 1 << 16  # (element, set) cells of one chunk of the chain sweep
+INT64_LEVELS = 20  # chain counts stay int64 through this level: 20! < 2^63
+_BITS = np.int64(1) << np.arange(GROUND_CAP, dtype=np.int64)  # element i+1 -> bit i
 
 
 class CapError(ValueError):
@@ -81,6 +88,18 @@ def elems_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
+
+
+def submasks(mask: int) -> np.ndarray:
+    """Every submask of mask, ascending, as an int64 array: each set bit,
+    lowest first, doubles the array with that bit added."""
+    subs = np.zeros(1, dtype=np.int64)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        subs = np.concatenate((subs, subs | low))
+        rest ^= low
+    return subs
 
 
 def check_permutation(perm, n: int) -> None:
@@ -202,48 +221,71 @@ def supports(f: SetSystem, perm) -> bool:
 
 
 def _chain_levels(f: SetSystem):
-    """Path-count DP, one level at a time: yields {set: number of chains
-    from ∅ to it within f} over the level's sets that some chain reaches,
-    from ∅ up, and stops at the first level no chain reaches.  Each set's
-    count is the sum over its single-element-removed predecessors.
+    """Path-count DP, one level at a time: yields (masks, counts) for the
+    level's sets that some chain from ∅ reaches, as an ascending int64 array
+    of masks and an array of their chain counts, from ∅ up, and stops at the
+    first level no chain reaches.  Each set's count is the sum over its
+    single-element-removed predecessors.
+
+    A level is swept in chunks of about CHAIN_CELLS (element, set) cells.
+    A chunk's set bits are taken bit-major, so within one element the
+    predecessors ascend, and one searchsorted finds all of them among the
+    reached sets of the level below.  A level-k count is at most k!, so
+    counts are int64 through level INT64_LEVELS and Python ints (object
+    arrays) above it.
     """
-    paths = {0: 1} if f.levels[0] else {}
-    for lv in f.levels[1:]:
-        if not paths:
+    if not f.levels[0]:
+        return
+    bits = _BITS[: f.n]
+    column = bits[:, None]
+    rows = max(1, CHAIN_CELLS // max(f.n, 1))
+    masks, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for k, lv in enumerate(f.levels[1:], 1):
+        if not len(masks):
             return
-        yield paths
-        nxt = {}
-        for m in lv:
-            total = 0
-            rest = m
-            while rest:
-                b = rest & -rest
-                p = paths.get(m ^ b)
-                if p:
-                    total += p
-                rest ^= b
-            if total:
-                nxt[m] = total
-        paths = nxt
-    yield paths
+        yield masks, counts
+        if k > INT64_LEVELS:
+            counts = counts.astype(object)
+        level = np.array(lv, dtype=np.int64)
+        kept_masks, kept_counts = [level[:0]], [counts[:0]]
+        for lo in range(0, len(level), rows):
+            chunk = level[lo : lo + rows]
+            bit, row = np.nonzero((chunk & column).astype(bool))
+            preds = chunk[row] ^ bits[bit]
+            at = np.searchsorted(masks, preds)  # past the end: clipped, misses
+            hit = (masks.take(at, mode="clip") == preds).nonzero()[0]
+            total = np.zeros(len(chunk), dtype=counts.dtype)
+            np.add.at(total, row[hit], counts[at[hit]])
+            reached = total.nonzero()[0]
+            kept_masks.append(chunk[reached])
+            kept_counts.append(total[reached])
+        masks, counts = np.concatenate(kept_masks), np.concatenate(kept_counts)
+    yield masks, counts
 
 
 def count_chains(f: SetSystem) -> int:
-    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] within f.
+    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] within f,
+    as a Python int.
 
     Keeps only the last level of the path-count DP, so at most two levels
-    are held at a time.
+    and one chunk's temporaries are held at a time.
     """
-    paths = {}
-    for paths in _chain_levels(f):
+    masks = counts = ()
+    for masks, counts in _chain_levels(f):
         pass
-    return paths.get((1 << f.n) - 1, 0)
+    if len(masks) and masks[-1] == (1 << f.n) - 1:
+        return int(counts[-1])
+    return 0
 
 
 def chain_counts(f: SetSystem) -> dict:
     """{set: number of chains from ∅ to it within f} over the sets of f that
-    some chain from ∅ reaches (sets it misses are absent)."""
-    return {m: c for paths in _chain_levels(f) for m, c in paths.items()}
+    some chain from ∅ reaches (sets it misses are absent); Python ints."""
+    return {
+        m: c
+        for masks, counts in _chain_levels(f)
+        for m, c in zip(masks.tolist(), counts.tolist())
+    }
 
 
 def metrics(f: SetSystem) -> Metrics:

@@ -308,6 +308,19 @@ def test_eval_tsp_path_value(capsys, instance8):
     assert code == 0 and out.startswith("value ")
 
 
+def test_eval_tsp_over_state_budget_exits_3_before_sweeping(capsys, tmp_path, monkeypatch):
+    from chainfold import semiring
+
+    def never(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(semiring, "_dp_over_masks", never)
+    path = tmp_path / "ex19.tsp"
+    dump_instance(random_instance(19, 0), path)
+    code, out = run_cli(capsys, "eval", "--problem", "tsp", "--instance", str(path))
+    assert code == 3 and out == ""
+
+
 # --- bounds / optimize / curve ----------------------------------------------------------
 
 def test_bounds_sqrt2(capsys):

@@ -26,6 +26,7 @@ from chainfold.semiring import (
     evaluate_unique,
     linear_extension_problem,
     load_poset,
+    tsp_live_peak,
     tsp_path_problem,
 )
 from chainfold.solver import random_instance
@@ -371,6 +372,24 @@ def test_state_budget_caps_every_semiring_dp(monkeypatch):
     fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
     with pytest.raises(CapError):
         evaluate_unique(PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING), fam)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tsp_live_peak_is_the_sweeps_own_peak(monkeypatch, n):
+    p = tsp_path_problem(random_instance(n, n))
+    peak = tsp_live_peak(n)
+    monkeypatch.setattr(semiring, "STATE_BUDGET", peak)
+    assert evaluate_dp(p) < inf
+    semiring.check_tsp_budget(n)
+    monkeypatch.setattr(semiring, "STATE_BUDGET", peak - 1)
+    with pytest.raises(CapError):
+        evaluate_dp(p)
+    with pytest.raises(CapError):
+        semiring.check_tsp_budget(n)
+
+
+def test_tsp_live_peak_fits_the_budget_through_18_cities():
+    assert tsp_live_peak(18) == 875160 <= semiring.STATE_BUDGET < tsp_live_peak(19)
 
 
 def test_random_posets_match_brute():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfold import systems
 from chainfold.constructions import (
     koivisto_parviainen,
     powerset,
@@ -24,6 +25,7 @@ from chainfold.systems import (
     EmptyGroundSetError,
     FormatError,
     SetSystem,
+    chain_counts,
     closure_from_permutations,
     count_chains,
     dump_system,
@@ -35,6 +37,7 @@ from chainfold.systems import (
     prefix_chain,
     relabel,
     relabeling_orbit,
+    submasks,
     supported_permutation_count,
     supports,
     union_product,
@@ -117,6 +120,97 @@ def test_missing_endpoints_kill_chains():
     assert count_chains(f) == 0
     g = SetSystem(3, [0, 0b001, 0b011])  # no full set
     assert count_chains(g) == 0
+
+
+def _reference_chain_levels(f):
+    """The path-count DP as a dict loop, the oracle for the numpy sweep:
+    yields {set: chains from ∅ to it} per level that some chain reaches."""
+    paths = {0: 1} if f.levels[0] else {}
+    for lv in f.levels[1:]:
+        if not paths:
+            return
+        yield paths
+        nxt = {}
+        for m in lv:
+            total = 0
+            rest = m
+            while rest:
+                b = rest & -rest
+                p = paths.get(m ^ b)
+                if p:
+                    total += p
+                rest ^= b
+            if total:
+                nxt[m] = total
+        paths = nxt
+    yield paths
+
+
+def _assert_matches_reference(f):
+    ref = {m: c for paths in _reference_chain_levels(f) for m, c in paths.items()}
+    got = chain_counts(f)
+    assert got == ref
+    assert list(got) == list(ref)  # level by level, ascending within a level
+    assert all(type(c) is int for c in got.values())
+    total = count_chains(f)
+    assert total == ref.get((1 << f.n) - 1, 0)
+    assert type(total) is int
+
+
+@st.composite
+def chained_systems(draw, max_n=26):
+    """Closures of random permutations at n up to max_n, with a few of their
+    sets dropped and random extra masks added."""
+    n = draw(st.integers(0, max_n))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=8))
+    masks = set(closure_from_permutations(n, perms).mask_set())
+    masks -= draw(st.sets(st.sampled_from(sorted(masks)), max_size=3))
+    masks |= draw(st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+    return SetSystem(n, masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_systems())
+def test_chain_sweep_matches_dict_reference(f):
+    _assert_matches_reference(f)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_chain_sweep_is_the_same_in_any_chunking(monkeypatch, cells):
+    monkeypatch.setattr(systems, "CHAIN_CELLS", cells)
+    for f in (tower_of_cubes(7, 3), split_band_system(6, 0.5), powerset(9), single_chain(30)):
+        _assert_matches_reference(f)
+
+
+def test_chain_sweep_boundaries():
+    # 13!^2 > 2^63: levels above 20 hold Python ints
+    assert factorial(13) ** 2 > 1 << 63
+    assert count_chains(koivisto_parviainen()) == factorial(13) ** 2
+    assert count_chains(single_chain(63)) == 1  # top mask 2^63 - 1
+    assert count_chains(tower_of_cubes(7, 3)) == factorial(7) ** 3  # n = 21
+    assert count_chains(SetSystem(0, [0])) == 1
+    for f in (koivisto_parviainen(), single_chain(63), SetSystem(0, [0])):
+        _assert_matches_reference(f)
+
+
+def test_unreachable_middle_level_has_no_chains():
+    # {3} is reached, but {1, 2} has no predecessor in f, so neither it nor
+    # the full set is reached
+    f = SetSystem(3, [0, 0b100, 0b011, 0b111])
+    assert count_chains(f) == 0
+    assert chain_counts(f) == {0: 1, 0b100: 1}
+    _assert_matches_reference(f)
+
+
+# --- submasks --------------------------------------------------------------
+
+def test_submasks_ascend_over_every_subset():
+    assert submasks(0).tolist() == [0]
+    assert submasks(0b1011).tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
+    mask = 0b1101_0110
+    assert submasks(mask).tolist() == [s for s in range(mask + 1) if s & ~mask == 0]
+    top = submasks(1 << 62 | 1)
+    assert top.dtype == "int64" and top.tolist() == [0, 1, 1 << 62, 1 << 62 | 1]
 
 
 # --- metrics ---------------------------------------------------------------
