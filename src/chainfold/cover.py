@@ -5,6 +5,24 @@ relabel(base, sigma_j), minus an optional per-member removal list in unique
 mode.  Plain mode guarantees every permutation of [n] is supported by at
 least one member; unique mode by exactly one.
 
+Coverage is counted, never listed.  The *signature* of a permutation is the
+set A of members that support it.  One DP over states (prefix set s, live
+members A) builds the histogram N(A) of signatures over all n!
+permutations: it starts at (∅, members holding ∅), and a step s -> s|e keeps
+A & where[s|e], where where[m] is the bitmask of the members that contain
+m.  A path whose bitmask empties is an order that no member supports, so the
+DP stops there.  Every coverage question reads the histogram:
+
+    covers_all    no path dies
+    exactly_once  no path dies and every signature is a single member
+    greedy_prune  the gain of member j is the sum of N(A) over the A that
+                  hold j and no kept member
+    random_cover  covers_all on the family so far, after each draw
+
+The DP is capped by the (s, A) states it holds at once (systems.STATE_BUDGET),
+not by n: 79-107 B a state under tracemalloc (random covers at n = 10..13),
+so about 110 MiB at the budget.
+
 Unique mode rests on the *regular intersection* property: two systems F1, F2
 are regularly intersecting when some witness G ⊆ F1 ∩ F2 catches every
 permutation supported by both (at least one prefix in G) while touching no
@@ -18,25 +36,22 @@ which is decision-complete: any valid witness is contained in G*, and G*
 inherits both clauses, so a witness exists iff G* is one.  Uniqueness is then
 manufactured by subtracting, from each member i, the union of its witnesses
 against all earlier members -- exactly once per ordered pair, in index order,
-making the result deterministic.
+making the result deterministic.  The permutations supported by F whose
+chain passes through s number up_F(s) * down_F(s), the chain counts
+(systems.chain_counts) from ∅ to s and from s to [n]; s lies on no chain
+supported by F1 but not F2 iff that product is the same for F1 and for
+F1 ∩ F2.
 
-Both unique-mode properties are certified by counting maximal chains, never
-by listing permutations.  With C the chain count (systems.count_chains),
-a family supports every permutation exactly once iff the C(F_i) sum to n!
-and every C(F_i ∩ F_j) is 0.  The permutations supported by F whose chain
-passes through s number up_F(s) * down_F(s), the chain counts from ∅ to s
-and from s to [n]; s lies on no chain supported by F1 but not F2 iff that
-product is the same for F1 and for F1 ∩ F2.  Coverage itself has no such
-counting form: covers_all, random_cover, greedy_prune and exact_min_cover
-still enumerate the n! permutations, and regularly_self_intersecting the n!
-relabelings, so those are capped at small n.
+exact_min_cover and regularly_self_intersecting still enumerate the n!
+relabelings, so they are capped at small n.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations as iter_permutations
+from itertools import permutations as iter_permutations
 from math import ceil, factorial
 from os import path as os_path
 
+from . import systems
 from .rng import SplitMix64
 from .systems import (
     CapError,
@@ -53,13 +68,7 @@ from .systems import (
     supports,
 )
 
-COVER_CAP = 10  # coverage verified by enumerating all n! permutations
 SELF_INTERSECT_CAP = 6  # all n! relabelings checked
-# k(k-1)/2 * |F|.  Each pairwise chain count pays numpy's fixed cost per
-# level, so small bases cost the most per set: at the edge, about 5.8 us per
-# set for |F| = 12 at n = 4 (58 s) and 1.7 us for |F| = 80 at n = 7 (17 s),
-# so under a minute
-EXACT_ONCE_BUDGET = 10**7
 
 
 @dataclass
@@ -71,6 +80,7 @@ class CoverFamily:
     unique_mode: bool = False
     removed: tuple = ()  # per member: tuple of masks dropped (unique mode)
     _systems: list = field(default=None, repr=False, compare=False)
+    _covers_all: bool = field(default=None, repr=False, compare=False)
     _exactly_once: bool = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -89,39 +99,86 @@ class CoverFamily:
         return self._systems
 
 
-def _all_perms(n: int):
-    return iter_permutations(range(1, n + 1))
+def _add_member(where: dict, j: int, g: SetSystem) -> None:
+    """Record member j in where = {set: bitmask of the members holding it}."""
+    bit = 1 << j
+    for m in g.mask_set():
+        where[m] = where.get(m, 0) | bit
 
-def supported_set(f: SetSystem) -> set:
-    """All permutations supported by f, by full enumeration."""
-    return {p for p in _all_perms(f.n) if supports(f, p)}
+
+def _histogram(family: CoverFamily):
+    """_signatures over the family's members."""
+    where: dict = {}
+    for j, g in enumerate(family.systems()):
+        _add_member(where, j, g)
+    return _signatures(family.base.n, where)
+
+
+def _signatures(n: int, where: dict):
+    """The signature histogram {A: N(A)} of the members described by where:
+    N(A) permutations of [n] are supported by exactly the members in the
+    bitmask A.  None as soon as some permutation is supported by no member;
+    otherwise the N(A) sum to n!.
+
+    Swept level by level; a level is {s: {A: number of orders of s whose
+    every prefix is held by exactly the members in A}}.  Raises CapError
+    once more than systems.STATE_BUDGET (s, A) states are live at once: the
+    level being swept plus the states created so far in the next.
+    """
+    budget = systems.STATE_BUDGET
+    full = (1 << n) - 1
+    start = where.get(0, 0)
+    if not start:
+        return None
+    level, width = {0: {start: 1}}, 1
+    for _ in range(n):
+        live = width
+        nxt: dict = {}
+        for s, row in level.items():
+            free = full & ~s
+            while free:
+                bit = free & -free
+                free ^= bit
+                s2 = s | bit
+                held = where.get(s2, 0)
+                if not held:
+                    return None
+                out = nxt.get(s2)
+                if out is None:
+                    out = nxt[s2] = {}
+                for a, c in row.items():
+                    a2 = a & held
+                    if a2 in out:
+                        out[a2] += c
+                    elif not a2:
+                        return None
+                    else:
+                        out[a2] = c
+                        live += 1
+                        if live > budget:
+                            raise CapError(f"coverage DP holds over {budget} live states")
+        level, width = nxt, live - width
+    return level[full]
 
 
 def covers_all(family: CoverFamily) -> bool:
-    """Exhaustive plain-mode coverage check (n capped)."""
-    n = family.base.n
-    if n > COVER_CAP:
-        raise CapError(f"coverage check enumerates {n}! permutations; cap {COVER_CAP}")
-    members = family.systems()
-    return all(any(supports(g, p) for g in members) for p in _all_perms(n))
+    """True iff every permutation of [n] is supported by some member: no
+    path of the signature DP dies.  Cached on the family; CapError when the
+    DP would hold more than systems.STATE_BUDGET live states."""
+    if family._covers_all is None:
+        family._covers_all = _histogram(family) is not None
+    return family._covers_all
 
 
 def exactly_once(family: CoverFamily) -> bool:
     """Unique-mode check: every permutation is supported by exactly one
-    member, i.e. the members' chain counts sum to n! and no two members
-    share a chain.  Cached on the family, like its member systems; refused
-    with CapError when the k(k-1)/2 pairwise counts over |F| sets exceed
-    EXACT_ONCE_BUDGET."""
+    member, i.e. the signature DP loses no path and every signature is a
+    single member.  Cached on the family, with covers_all; CapError when the
+    DP would hold more than systems.STATE_BUDGET live states."""
     if family._exactly_once is None:
-        n = family.base.n
-        members = family.systems()
-        work = len(members) * (len(members) - 1) // 2 * len(family.base)
-        if work > EXACT_ONCE_BUDGET:
-            raise CapError(f"uniqueness check costs {work}; budget {EXACT_ONCE_BUDGET}")
-        family._exactly_once = sum(count_chains(g) for g in members) == factorial(n) and all(
-            count_chains(SetSystem(n, a.mask_set() & b.mask_set())) == 0
-            for a, b in combinations(members, 2)
-        )
+        hist = _histogram(family)
+        family._covers_all = hist is not None
+        family._exactly_once = hist is not None and all(not a & (a - 1) for a in hist)
     return family._exactly_once
 
 
@@ -144,55 +201,50 @@ def random_cover(base: SetSystem, seed: int, max_tries: int) -> CoverFamily:
 
     The first member is the identity relabeling (a deterministic anchor:
     bases that already cover everything yield a family of size 1); further
-    members are uniform random permutations from the seeded generator.
-    Raises if coverage is not reached within max_tries draws.
+    members are uniform random permutations from the seeded generator.  The
+    family so far is checked with the signature DP after each draw (see
+    covers_all).  Raises ValueError if coverage is not reached within
+    max_tries draws, CapError when a check would hold more than
+    systems.STATE_BUDGET live states.
     """
     n = base.n
-    if n > COVER_CAP:
-        raise CapError(f"random_cover verifies coverage by enumeration; cap {COVER_CAP}")
-    base_support = supported_set(base)
-    if not base_support:
+    if not count_chains(base):
         raise ValueError("base supports no permutation; cover impossible")
     gen = SplitMix64(seed)
-    identity = tuple(range(1, n + 1))
-    relabelings = [identity]
-    # support of relabel(base, sigma) = {sigma o tau : tau in base_support}
-    covered = set(base_support)
-    universe = factorial(n)
+    relabelings = [tuple(range(1, n + 1))]
+    where: dict = {}
+    _add_member(where, 0, base)
     tries = 0
-    while len(covered) < universe:
+    while _signatures(n, where) is None:
         if tries >= max_tries:
             raise ValueError(f"no complete cover within {max_tries} draws")
         sigma = gen.permutation(n)
         tries += 1
+        _add_member(where, len(relabelings), relabel(base, sigma))
         relabelings.append(sigma)
-        for tau in base_support:
-            covered.add(tuple(sigma[v - 1] for v in tau))
     return CoverFamily(base, tuple(relabelings))
 
 
 def greedy_prune(family: CoverFamily) -> CoverFamily:
-    """Greedy set cover over the support incidence: repeatedly keep the
-    member covering the most still-uncovered permutations, ties broken by
-    lowest member index."""
-    n = family.base.n
-    if n > COVER_CAP:
-        raise CapError(f"greedy_prune enumerates permutations; cap {COVER_CAP}")
-    supports_by_member = [supported_set(g) for g in family.systems()]
-    uncovered = set()
-    for s in supports_by_member:
-        uncovered |= s
-    if len(uncovered) < factorial(n):
+    """Greedy set cover over the signature histogram: repeatedly keep the
+    member that supports the most still-uncovered permutations, ties broken
+    by lowest member index.  The gain of member j is the sum of N(A) over
+    the signatures A that hold j and no kept member."""
+    hist = _histogram(family)
+    if hist is None:
         raise ValueError("family does not cover all permutations")
     keep = []
-    while uncovered:
-        best, best_gain = None, -1
-        for j, s in enumerate(supports_by_member):
-            gain = len(uncovered & s)
-            if gain > best_gain:
-                best, best_gain = j, gain
+    while hist:
+        gains = [0] * len(family)
+        for a, c in hist.items():
+            while a:
+                low = a & -a
+                gains[low.bit_length() - 1] += c
+                a ^= low
+        best = max(range(len(gains)), key=gains.__getitem__)
         keep.append(best)
-        uncovered -= supports_by_member[best]
+        bit = 1 << best
+        hist = {a: c for a, c in hist.items() if not a & bit}
     keep.sort()
     return CoverFamily(family.base, tuple(family.relabelings[j] for j in keep))
 
@@ -203,15 +255,15 @@ def exact_min_cover(base: SetSystem) -> CoverFamily:
     n = base.n
     if n > 5:
         raise CapError(f"exact_min_cover branches over {n}! relabelings; cap 5")
-    base_support = supported_set(base)
+    perms = list(iter_permutations(range(1, n + 1)))  # lexicographic
+    base_support = [p for p in perms if supports(base, p)]
     if not base_support:
         raise ValueError("base supports no permutation; cover impossible")
-    perms = sorted(_all_perms(n))
     index = {p: i for i, p in enumerate(perms)}
     universe = (1 << len(perms)) - 1
     # candidate supports as bitmasks over permutations, deduplicated
     seen = {}
-    for sigma in sorted(_all_perms(n)):
+    for sigma in perms:
         bits = 0
         for tau in base_support:
             bits |= 1 << index[tuple(sigma[v - 1] for v in tau)]
@@ -336,9 +388,11 @@ def dump_family(family: CoverFamily, path, base_path) -> None:
 
 
 def load_family(path) -> CoverFamily:
-    """Read a family file.  A unique-mode claim is verified with
-    exactly_once: FormatError when some permutation is not supported exactly
-    once, CapError when the check exceeds EXACT_ONCE_BUDGET."""
+    """Read a family file.  A plain-mode claim is verified with covers_all
+    and a unique-mode claim with exactly_once: FormatError when some
+    permutation is not supported at least (plain) or exactly (unique) once,
+    CapError when the check would hold more than systems.STATE_BUDGET live
+    states."""
     (base_path, mode), body = read_headers(path, "base", "mode")
     if not os_path.isabs(base_path):
         base_path = os_path.join(os_path.dirname(os_path.abspath(path)), base_path)
@@ -368,7 +422,10 @@ def load_family(path) -> CoverFamily:
     if mode == "plain":
         if removed:
             raise FormatError(f"{path}: removed lines in plain mode")
-        return CoverFamily(base, tuple(relabelings))
+        family = CoverFamily(base, tuple(relabelings))
+        if not covers_all(family):
+            raise FormatError(f"{path}: plain mode, but some permutation is not supported")
+        return family
     rem = tuple(removed.get(j, ()) for j in range(1, len(relabelings) + 1))
     family = CoverFamily(base, tuple(relabelings), unique_mode=True, removed=rem)
     if not exactly_once(family):

@@ -16,12 +16,13 @@ Three evaluators, strongest preconditions last:
   level by level and grouped by prefix mask.  Zero states are never kept
   (sound by the annihilation law, see SemiringDescriptor), so counting linear
   extensions visits downsets only, and the DP is capped by the states it
-  holds at once (STATE_BUDGET), not by n.
+  holds at once (systems.STATE_BUDGET), not by n.
 * evaluate_restricted / evaluate_unique -- per-member restricted DPs over a
   covering family, combined with (+).  Restricted needs an additively
-  idempotent semiring (overlapping members would otherwise double-count);
-  unique accepts any semiring because each permutation is supported exactly
-  once, which it certifies by counting chains (once per family, see
+  idempotent semiring (overlapping members would otherwise double-count)
+  and a family that covers every permutation; unique accepts any semiring
+  because each permutation is supported exactly once.  Both certify their
+  family's claim (once per family, see cover.covers_all and
   cover.exactly_once) before summing.
 
 Degree is capped at 3: the DP state carries the last d-1 entries, and beyond
@@ -33,15 +34,16 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import comb, inf
 
-from .cover import CoverFamily, exactly_once
+from . import systems
+from .cover import CoverFamily, covers_all, exactly_once
 from .systems import GROUND_CAP, CapError, FormatError, read_int_headers
 
 DEGREE_CAP = 3
 BRUTE_CAP = 8
-# live (mask, tail) states of the semiring DP: about 100 MiB of Python objects
-# at degree 2 (104 B a state under tracemalloc, n = 14, int values) and about
-# 330 MiB at degree <= 1, where each mask holds its one state in its own dict
-STATE_BUDGET = 1 << 20
+# The DP holds at most systems.STATE_BUDGET live (mask, tail) states: about
+# 100 MiB of Python objects at degree 2 (104 B a state under tracemalloc,
+# n = 14, int values) and about 330 MiB at degree <= 1, where each mask holds
+# its one state in its own dict.
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
 
     allowed, when given, restricts prefix masks to a set system's masks; the
     per-state sums then range over exactly the supported permutations.
-    Raises CapError once more than STATE_BUDGET states are live at once: the
-    level being swept plus the states created so far in the next.
+    Raises CapError once more than systems.STATE_BUDGET states are live at
+    once: the level being swept plus the states created so far in the next.
     """
     add, mul, zero = p.semiring.add, p.semiring.mul, p.semiring.zero
     cost = p.local_cost
@@ -137,6 +139,7 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
     full = (1 << n) - 1
     if allowed is not None and 0 not in allowed:
         return zero
+    budget = systems.STATE_BUDGET
     level, width = {0: {(): p.semiring.one}}, 1
     for j in range(n):
         # tails here hold min(keep, j) entries, so tail + (v,) is the cost's
@@ -169,7 +172,7 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
                     elif contrib != zero:
                         row[t2] = contrib
                         live += 1
-                        if live > STATE_BUDGET:
+                        if live > budget:
                             raise _over_budget()
                 if row:
                     nxt[m2] = row
@@ -182,7 +185,7 @@ def _dp_over_masks(p: PermutationProblem, allowed=None):
 
 
 def _over_budget() -> CapError:
-    return CapError(f"semiring DP holds over {STATE_BUDGET} live states")
+    return CapError(f"semiring DP holds over {systems.STATE_BUDGET} live states")
 
 
 def evaluate_dp(p: PermutationProblem):
@@ -195,13 +198,17 @@ def evaluate_restricted(p: PermutationProblem, family: CoverFamily):
 
     Safe only for additively idempotent semirings: a permutation supported by
     several members contributes once per member, and idempotence is what
-    collapses the duplicates.
+    collapses the duplicates.  The coverage claim is verified with covers_all
+    (cached on the family) before any member is summed: a permutation that no
+    member supports would silently drop out of the sum.
     """
     if not p.semiring.idempotent:
         raise ValueError(
             "restricted evaluation over a plain cover needs an additively "
             "idempotent semiring; use a unique-mode family instead"
         )
+    if not covers_all(family):
+        raise ValueError("family does not cover all permutations")
     return _sum_over_members(p, family)
 
 
@@ -252,8 +259,8 @@ def tsp_live_peak(n: int) -> int:
 
 def check_tsp_budget(n: int) -> None:
     """Refuse, before any sweep, a TSP evaluation that the DP would refuse
-    once its live states pass STATE_BUDGET."""
-    if tsp_live_peak(n) > STATE_BUDGET:
+    once its live states pass systems.STATE_BUDGET."""
+    if tsp_live_peak(n) > systems.STATE_BUDGET:
         raise _over_budget()
 
 

@@ -34,6 +34,10 @@ GROUND_CAP = 63  # sparse systems stay within one machine word
 ORACLE_CAP = 10  # n! enumeration oracles
 CHAIN_CELLS = 1 << 16  # (element, set) cells of one chunk of the chain sweep
 INT64_LEVELS = 20  # chain counts stay int64 through this level: 20! < 2^63
+# live states a DP may hold at once: the semiring DP's (mask, tail) states and
+# the coverage DP's (prefix set, live members) states; semiring and cover give
+# their bytes per state
+STATE_BUDGET = 1 << 20
 _BITS = np.int64(1) << np.arange(GROUND_CAP, dtype=np.int64)  # element i+1 -> bit i
 
 
@@ -110,7 +114,7 @@ def check_permutation(perm, n: int) -> None:
 class SetSystem:
     """Immutable collection of subsets of [n], grouped by cardinality."""
 
-    __slots__ = ("n", "levels", "_mask_set", "_succ", "_elems")
+    __slots__ = ("n", "levels", "_mask_set", "_succ", "_elems", "_arrays")
 
     def __init__(self, n: int, masks):
         if n < 0:
@@ -131,6 +135,7 @@ class SetSystem:
         self._mask_set = frozenset(seen)
         self._succ = None
         self._elems = None
+        self._arrays = None
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -180,6 +185,16 @@ class SetSystem:
         if self._elems is None:
             self._elems = {m: elems_of(m) for m in self._mask_set}
         return self._elems
+
+    def level_arrays(self) -> tuple:
+        """levels as read-only ascending int64 arrays, one per cardinality;
+        cached."""
+        if self._arrays is None:
+            arrays = tuple(np.array(lv, dtype=np.int64) for lv in self.levels)
+            for a in arrays:
+                a.flags.writeable = False
+            self._arrays = arrays
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -240,13 +255,12 @@ def _chain_levels(f: SetSystem):
     column = bits[:, None]
     rows = max(1, CHAIN_CELLS // max(f.n, 1))
     masks, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    for k, lv in enumerate(f.levels[1:], 1):
+    for k, level in enumerate(f.level_arrays()[1:], 1):
         if not len(masks):
             return
         yield masks, counts
         if k > INT64_LEVELS:
             counts = counts.astype(object)
-        level = np.array(lv, dtype=np.int64)
         kept_masks, kept_counts = [level[:0]], [counts[:0]]
         for lo in range(0, len(level), rows):
             chunk = level[lo : lo + rows]

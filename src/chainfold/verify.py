@@ -290,7 +290,7 @@ def suite_lower_bound() -> SuiteResult:
 def suite_cover() -> SuiteResult:
     lines = []
     ok = True
-    # plain covers, verified complete by enumeration
+    # plain covers, verified complete by the signature DP
     for n, base in ((4, constructions.tower_of_cubes(2, 2)),
                     (5, constructions.core_prefix_system(5, 0.8, 0.4))):
         fam = cover.greedy_prune(cover.random_cover(base, seed=n, max_tries=2000))

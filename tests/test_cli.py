@@ -213,6 +213,37 @@ def test_cover_unique_beyond_enumeration_cap(capsys):
     assert code == 0 and "mode unique" in out
 
 
+def test_cover_unique_family_file_bytes(capsys, tmp_path):
+    # the benchmark's unique family: stdout and file are regression values
+    fam_path = tmp_path / "uf.cf"
+    code, out = run_cli(
+        capsys, "cover", "--base", "thm45:6,0.667,0.334", "--prune", "--unique",
+        "--seed", "11", "--out", str(fam_path),
+    )
+    assert code == 0
+    assert out == "family size 3\nmode unique\nprescribed q(n) 90\n"
+    assert fam_path.read_text().split("\n", 1)[1] == (
+        "mode unique\n1 2 3 4 5 6\n6 5 3 2 1 4\n6 1 4 5 3 2\n"
+        "removed 2: 6 7 e f\nremoved 3: 9 30 b d 32 34 f 36\n"
+    )
+
+
+def test_cover_runs_past_ten_elements(capsys):
+    code, out = run_cli(capsys, "cover", "--base", "thm45:11,0.728,0.364", "--prune")
+    assert code == 0
+    assert out == "family size 13\nmode plain\nprescribed q(n) 571\n"
+
+
+def test_cover_over_state_budget_exits_3(capsys, monkeypatch):
+    from chainfold import systems
+
+    monkeypatch.setattr(systems, "STATE_BUDGET", 1000)
+    code = main(["cover", "--base", "thm45:11,0.728,0.364", "--prune"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: coverage DP holds over 1000 live states\n"
+
+
 def test_cover_seed_determinism(capsys, tmp_path):
     paths = []
     for name in ("a.cf", "b.cf"):
@@ -262,9 +293,9 @@ def test_count_le_long_chain_runs_past_brute_range(capsys, tmp_path):
 
 
 def test_count_le_over_state_budget_exits_3(capsys, tmp_path, monkeypatch):
-    from chainfold import semiring
+    from chainfold import systems
 
-    monkeypatch.setattr(semiring, "STATE_BUDGET", 30)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 30)
     poset = tmp_path / "anti6.po"
     poset.write_text("n 6\n")  # antichain: 35 live states at its widest
     code, out = run_cli(capsys, "count-le", "--poset", str(poset))

@@ -5,10 +5,13 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainfold import cover
+from chainfold import systems
 from chainfold.constructions import (
     core_prefix_system,
+    from_spec,
     powerset,
     single_chain,
     split_band_system,
@@ -27,7 +30,6 @@ from chainfold.cover import (
     random_cover,
     regularly_intersecting,
     regularly_self_intersecting,
-    supported_set,
 )
 from chainfold.rng import SplitMix64
 from chainfold.systems import (
@@ -45,8 +47,60 @@ from chainfold.systems import (
 
 
 # --- enumeration oracles ------------------------------------------------------
-# Both unique-mode properties by listing all n! permutations: the judges of
-# the chain-count certificates in exactly_once and regularly_intersecting.
+# Every coverage question by listing all n! permutations: the judges of the
+# signature DP behind covers_all, random_cover, greedy_prune and exactly_once,
+# and of the chain-count certificate in regularly_intersecting.
+
+def supported_set(f: SetSystem) -> set:
+    """All permutations supported by f, by full enumeration."""
+    return {p for p in permutations(range(1, f.n + 1)) if supports(f, p)}
+
+
+def _covers_all_by_enumeration(family):
+    members = family.systems()
+    perms = permutations(range(1, family.base.n + 1))
+    return all(any(supports(g, p) for g in members) for p in perms)
+
+
+def _random_cover_by_enumeration(base, seed, max_tries):
+    """random_cover's relabelings, tracking the covered permutations as a set."""
+    n = base.n
+    base_support = supported_set(base)
+    if not base_support:
+        raise ValueError("base supports no permutation; cover impossible")
+    gen = SplitMix64(seed)
+    relabelings = [tuple(range(1, n + 1))]
+    # support of relabel(base, sigma) = {sigma o tau : tau in base_support}
+    covered = set(base_support)
+    tries = 0
+    while len(covered) < factorial(n):
+        if tries >= max_tries:
+            raise ValueError(f"no complete cover within {max_tries} draws")
+        sigma = gen.permutation(n)
+        tries += 1
+        relabelings.append(sigma)
+        for tau in base_support:
+            covered.add(tuple(sigma[v - 1] for v in tau))
+    return tuple(relabelings)
+
+
+def _greedy_prune_by_enumeration(family):
+    """greedy_prune's relabelings, over the members' supports as sets."""
+    supports_by_member = [supported_set(g) for g in family.systems()]
+    uncovered = set().union(*supports_by_member)
+    if len(uncovered) < factorial(family.base.n):
+        raise ValueError("family does not cover all permutations")
+    keep = []
+    while uncovered:
+        best, best_gain = None, -1
+        for j, s in enumerate(supports_by_member):
+            gain = len(uncovered & s)
+            if gain > best_gain:
+                best, best_gain = j, gain
+        keep.append(best)
+        uncovered -= supports_by_member[best]
+    return tuple(family.relabelings[j] for j in sorted(keep))
+
 
 def _exactly_once_by_enumeration(family):
     n = family.base.n
@@ -72,6 +126,110 @@ def _witness_by_enumeration(f1, f2):
 def _random_closure(gen, n):
     perms = [gen.permutation(n) for _ in range(1 + gen.randbelow(5))]
     return closure_from_permutations(n, perms)
+
+
+@st.composite
+def cover_bases(draw):
+    """Core, tower, powerset and random-closure bases at n = 3..7."""
+    kind = draw(st.sampled_from(("core", "tower", "powerset", "closure")))
+    if kind == "tower":
+        towers = [(t, k) for t in range(1, 8) for k in range(1, 8) if 3 <= t * k <= 7]
+        return tower_of_cubes(*draw(st.sampled_from(towers)))
+    n = draw(st.integers(3, 7))
+    if kind == "core":
+        an = draw(st.integers(1, n))
+        bn = draw(st.integers((an + 1) // 2, an))
+        return core_prefix_system(n, an / n, bn / n)
+    if kind == "powerset":
+        return powerset(n)
+    perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6))
+    return closure_from_permutations(n, perms)
+
+
+# --- the signature DP against the enumeration oracles ---------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(cover_bases(), st.integers(0, 2**32 - 1))
+def test_random_cover_and_prune_match_enumeration(base, seed):
+    try:
+        expected = _random_cover_by_enumeration(base, seed, 60)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            random_cover(base, seed, 60)
+        return
+    fam = random_cover(base, seed, 60)
+    assert fam.relabelings == expected
+    assert covers_all(fam)
+    pruned = greedy_prune(fam)
+    assert pruned.relabelings == _greedy_prune_by_enumeration(fam)
+    assert covers_all(pruned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coverage_questions_match_enumeration_on_any_family(data):
+    base = data.draw(cover_bases())
+    sigmas = st.permutations(range(1, base.n + 1)).map(tuple)
+    relabelings = tuple(data.draw(st.lists(sigmas, max_size=10)))
+    fam = CoverFamily(base, relabelings)
+    complete = _covers_all_by_enumeration(fam)
+    assert covers_all(fam) == complete
+    if complete:
+        assert greedy_prune(fam).relabelings == _greedy_prune_by_enumeration(fam)
+    else:
+        with pytest.raises(ValueError, match="does not cover"):
+            greedy_prune(fam)
+    as_unique = CoverFamily(base, relabelings, unique_mode=True)
+    assert exactly_once(as_unique) == _exactly_once_by_enumeration(as_unique)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cover_bases(), st.integers(0, 2**32 - 1))
+def test_exactly_once_matches_enumeration_on_unique_families(base, seed):
+    # unique families with removals, and each of their corruptions
+    try:
+        uf = make_unique(greedy_prune(random_cover(base, seed, 60)))
+    except ValueError:
+        return  # no cover within 60 draws, or members not regularly intersecting
+    for fam in [uf] + _corruptions(uf):
+        assert exactly_once(fam) == _exactly_once_by_enumeration(fam)
+        assert covers_all(fam) == _covers_all_by_enumeration(fam)
+
+
+def test_benchmark_cover_inputs_match_enumeration():
+    base = from_spec("thm45:7,0.715,0.43")
+    fam = random_cover(base, 11, 5000)
+    assert fam.relabelings == _random_cover_by_enumeration(base, 11, 5000)
+    pruned = greedy_prune(fam)
+    assert pruned.relabelings == _greedy_prune_by_enumeration(fam)
+    assert (len(fam), len(pruned)) == (15, 6)
+    base = from_spec("thm45:6,0.667,0.334")
+    uf = make_unique(greedy_prune(random_cover(base, 11, 1000)))
+    assert exactly_once(uf) and _exactly_once_by_enumeration(uf)
+    assert covers_all(uf) and _covers_all_by_enumeration(uf)
+    assert uf.removed == ((), (6, 7, 14, 15), (9, 48, 11, 13, 50, 52, 15, 54))
+
+
+# --- the live-state budget -------------------------------------------------------
+# One powerset(4) member holds one signature per prefix set, so the DP is widest
+# on the step from level 1 to level 2 (or 2 to 3): C(4,1) + C(4,2) = 10 states.
+
+def test_state_budget_caps_every_coverage_question(monkeypatch):
+    plain = CoverFamily(powerset(4), ((1, 2, 3, 4),))
+    unique = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
+    monkeypatch.setattr(systems, "STATE_BUDGET", 10)
+    assert covers_all(CoverFamily(powerset(4), ((1, 2, 3, 4),)))
+    assert exactly_once(CoverFamily(powerset(4), ((1, 2, 3, 4),), True, ((),)))
+    monkeypatch.setattr(systems, "STATE_BUDGET", 9)
+    with pytest.raises(CapError):
+        covers_all(plain)
+    with pytest.raises(CapError):
+        random_cover(powerset(4), seed=0, max_tries=5)
+    with pytest.raises(CapError):
+        greedy_prune(plain)
+    with pytest.raises(CapError):
+        exactly_once(unique)
+    assert plain._covers_all is None and unique._exactly_once is None
 
 
 # --- random_cover -----------------------------------------------------------
@@ -281,7 +439,7 @@ def _corruptions(uf):
     if len(rel) > 1:
         out.append(CoverFamily(uf.base, rel[:-1], True, rm[:-1]))  # member dropped
         # one member replaced by a copy of another: the chain counts can
-        # still sum to n!, so only the pairwise check catches it
+        # still sum to n!, so only a signature of two members catches it
         out.append(CoverFamily(uf.base, rel[:1] + rel[:1] + rel[2:], True, rm[:1] + rm[:1] + rm[2:]))
     for j, masks in enumerate(rm):
         if masks:  # one removal dropped
@@ -400,8 +558,28 @@ def test_family_file_checks_unique_claim_beyond_enumeration(tmp_path):
 
 
 def test_family_file_refuses_unique_claim_over_budget(tmp_path, monkeypatch):
+    # two powerset(11) members share one signature per prefix set, so the
+    # check holds C(11,5) + C(11,6) = 924 states at its widest step
     identity = tuple(range(1, 12))
     path = _unique_family_file(tmp_path, powerset(11), [identity, identity])
-    monkeypatch.setattr(cover, "EXACT_ONCE_BUDGET", len(powerset(11)) - 1)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 924)
+    with pytest.raises(FormatError):
+        load_family(path)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 923)
     with pytest.raises(CapError):
         load_family(path)
+
+
+def _plain_family_file(tmp_path, base, relabelings):
+    path = _unique_family_file(tmp_path, base, relabelings)
+    path.write_text(path.read_text().replace("mode unique", "mode plain"))
+    return path
+
+
+def test_family_file_rejects_plain_claim_that_misses_a_permutation(tmp_path):
+    base = core_prefix_system(6, 2 / 3, 1 / 3)
+    fam = greedy_prune(random_cover(base, seed=11, max_tries=1000))
+    loaded = load_family(_plain_family_file(tmp_path, base, fam.relabelings))
+    assert loaded.relabelings == fam.relabelings and covers_all(loaded)
+    with pytest.raises(FormatError, match="not supported"):
+        load_family(_plain_family_file(tmp_path, base, fam.relabelings[:-1]))

@@ -6,9 +6,16 @@ from math import factorial, inf
 
 import pytest
 
-from chainfold import semiring
+from chainfold import cover, semiring, systems
 from chainfold.constructions import core_prefix_system, from_spec, powerset
-from chainfold.cover import CoverFamily, exactly_once, greedy_prune, make_unique, random_cover
+from chainfold.cover import (
+    CoverFamily,
+    covers_all,
+    exactly_once,
+    greedy_prune,
+    make_unique,
+    random_cover,
+)
 from chainfold.rng import SplitMix64
 from chainfold.semiring import (
     COUNTING,
@@ -233,6 +240,32 @@ def test_restricted_absorbs_supportless_member():
     assert evaluate_unique(problem, fam) == evaluate_dp(problem)
 
 
+def test_restricted_refuses_family_that_misses_a_permutation():
+    # one identity member of the core base supports 288 of the 720 orders;
+    # summed without the check, the minimum path over them would read 93
+    problem = tsp_path_problem(random_instance(6, 3))
+    assert evaluate_dp(problem) == 67
+    fam = CoverFamily(from_spec("thm45:6,0.667,0.334"), ((1, 2, 3, 4, 5, 6),))
+    assert _dp_over_masks(problem, fam.systems()[0].mask_set()) == 93
+    with pytest.raises(ValueError, match="does not cover"):
+        evaluate_restricted(problem, fam)
+    assert fam._covers_all is False
+
+
+def test_restricted_checks_coverage_once_per_family(monkeypatch):
+    problem = tsp_path_problem(random_instance(5, 23))
+    fam = greedy_prune(random_cover(core_prefix_system(5, 0.8, 0.4), seed=2, max_tries=500))
+    assert fam._covers_all is None
+    first = evaluate_restricted(problem, fam)
+    assert fam._covers_all is True
+
+    def recount(n, where):
+        raise AssertionError("coverage counted twice")
+
+    monkeypatch.setattr(cover, "_signatures", recount)
+    assert evaluate_restricted(problem, fam) == first
+
+
 def test_restricted_refuses_non_idempotent():
     fam = CoverFamily(powerset(3), ((1, 2, 3),))
     p = PermutationProblem(3, 0, lambda mask, tail: 1, COUNTING)
@@ -358,30 +391,32 @@ def test_state_budget_caps_every_semiring_dp(monkeypatch):
     # the budget counts live (mask, tail) states, not n: the antichain on 6
     # elements holds 20 + 15 states at its widest two levels, a 40-chain at
     # most 2
-    monkeypatch.setattr(semiring, "STATE_BUDGET", 34)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 34)
     assert count_linear_extensions(_chain(40)) == 1
     with pytest.raises(CapError):
         count_linear_extensions(Poset.from_relations(6, []))
-    monkeypatch.setattr(semiring, "STATE_BUDGET", 35)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 35)
     assert count_linear_extensions(Poset.from_relations(6, [])) == 720
-    # the per-member DPs of a family run under the same budget
-    monkeypatch.setattr(semiring, "STATE_BUDGET", 4)
-    fam = CoverFamily(powerset(4), ((1, 2, 3, 4),))
-    with pytest.raises(CapError):
-        evaluate_restricted(tsp_path_problem(random_instance(4, 3)), fam)
-    fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
-    with pytest.raises(CapError):
-        evaluate_unique(PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING), fam)
+    # the per-member DPs of a family run under the same budget (the families'
+    # own coverage checks, which hold 10 states, are cached before it drops)
+    plain = CoverFamily(powerset(4), ((1, 2, 3, 4),))
+    unique = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
+    assert covers_all(plain) and exactly_once(unique)
+    monkeypatch.setattr(systems, "STATE_BUDGET", 4)
+    with pytest.raises(CapError, match="semiring DP"):
+        evaluate_restricted(tsp_path_problem(random_instance(4, 3)), plain)
+    with pytest.raises(CapError, match="semiring DP"):
+        evaluate_unique(PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING), unique)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_tsp_live_peak_is_the_sweeps_own_peak(monkeypatch, n):
     p = tsp_path_problem(random_instance(n, n))
     peak = tsp_live_peak(n)
-    monkeypatch.setattr(semiring, "STATE_BUDGET", peak)
+    monkeypatch.setattr(systems, "STATE_BUDGET", peak)
     assert evaluate_dp(p) < inf
     semiring.check_tsp_budget(n)
-    monkeypatch.setattr(semiring, "STATE_BUDGET", peak - 1)
+    monkeypatch.setattr(systems, "STATE_BUDGET", peak - 1)
     with pytest.raises(CapError):
         evaluate_dp(p)
     with pytest.raises(CapError):
@@ -389,7 +424,7 @@ def test_tsp_live_peak_is_the_sweeps_own_peak(monkeypatch, n):
 
 
 def test_tsp_live_peak_fits_the_budget_through_18_cities():
-    assert tsp_live_peak(18) == 875160 <= semiring.STATE_BUDGET < tsp_live_peak(19)
+    assert tsp_live_peak(18) == 875160 <= systems.STATE_BUDGET < tsp_live_peak(19)
 
 
 def test_random_posets_match_brute():
