@@ -3,50 +3,74 @@
 All solvers return the optimal cyclic tour value plus a witness permutation,
 with ties broken by the lexicographically smallest witness so outputs are
 deterministic and diffable.  Every subset DP here is one engine, _chain_dp.
-It solves many chain problems (sets, first, last) over one distance matrix
-in a single numpy sweep: B(s, c) = cheapest completion of a chain whose
-prefix-set is s and whose last city is c, held in int64 rows keyed by
-(problem, s) and filled one popcount level at a time, from the top set down.
-Each row finds its successors s | e in the level above with one searchsorted
-and gathers B(s | e, e) into a (rows x cities) table; the level is then the
-(min,+) product of that table with d, taken one next city e at a time.  A
-candidate d[c][e] + B(s | e, e) replaces the running minimum only when it is
-strictly smaller, so the stored choice (int8) is the smallest optimal next
-city, and following those choices from {first} yields the lexicographically
-smallest optimal witness.
+It solves many chain problems over one lattice and one distance matrix in a
+single numpy sweep.
+
+A lattice holds the sets a sweep may visit, subsets of a city set top kept
+as one ascending int64 array per popcount, and their successor index: for
+each set s and each city e of top, where s | e lies in the level above, or
+-1.  A SetSystem caches its index (SetSystem.successor_index), built on its
+first DP.  Every sweep over the subsets of m <= SHARED_LATTICE cities (the
+Gurevich-Shelah leaf groups, held_karp and _fixed_path) shares the cached
+lattice of powerset(m), read with bit j standing for the j-th city.  Above
+that, the subsets that hold a fixed path's first city (held_karp's: up to
+2^23) serve one call, so they are built per call and searched chunk by
+chunk.
+
+A problem (first, last, perm, keep) asks for the cheapest chain from {first}
+up to top through the lattice's sets, relabeled by perm and filtered by
+keep, closing at last.  B(s, c) = cheapest completion of a chain whose
+prefix-set is s and whose last city is c, held in int64 rows, one per
+(problem, set), filled one popcount level at a time from the top set down.
+A problem's rows are the kept sets that hold its first city, picked from
+the shared levels; a map from (problem, set) to row turns the shared index
+into each row's successors, so nothing is sorted or searched per problem.
+The gathered B(s | e, e) form a (rows x cities) table, and the level is the
+(min,+) product of that table with d, taken one next city e at a time in
+the problem's own labels.  A candidate d[c][e] + B(s | e, e) replaces the
+running minimum only when it is strictly smaller, so the stored choice
+(int8) is the smallest optimal next city, and following those choices from
+{first} yields the lexicographically smallest optimal witness.
 
 A missing successor reads SENTINEL = 3 * 2^61.  Instances keep
 n * max|w| < WEIGHT_BOUND = 2^62, so every chain value and every value plus
 one weight lies below 2^62 < SENTINEL - max|w|, and SENTINEL plus one weight
 stays below 2^63: the int64 fill never overflows and never picks a missing
 successor.  Only two levels of values are alive at a time, the
-(rows x cities) temporaries are cut into CHUNK-cell pieces, and a row key
-packs the problem index above the set's bits, so a sweep holds at most
-2^(63 - n) problems; _chain_dp cuts any stream of problems into sweeps.
+(rows x cities) temporaries are cut into CHUNK-cell pieces, and _chain_dp
+cuts any stream of problems into sweeps of about BATCH_ROWS rows.
 
-The callers differ only in the problems they hand the engine:
+The callers differ only in the lattices and problems they hand the engine:
 
     restricted_dp(inst, f) minimizes over tours whose prefix-sets (read from
     the tour's first city) all lie in f.  It solves one problem per first
-    city {c} in f, each table holding <= n*|f| entries.
+    city {c} in f over f's cached lattice, each table holding <= n*|f|
+    entries; its first cities, and repeat calls on f, share one index.
 
     _fixed_path(cities, a, b) is the engine over every subset of cities
     that holds a: the cheapest order of cities from a, plus the step from
     its last city to b.  held_karp is _fixed_path(1..n, 1, 1), the sweep
     gurevich_shelah runs at depth 0.  Deeper, gurevich_shelah hands the
     engine every leaf over one city set at once: the leaves of a split
-    share top, so one sweep answers the whole group.  Neither builds a
-    SetSystem.
+    share top, so one sweep over every subset of top answers the whole
+    group.
 
-    random_split_solver and framework_solver draw their systems lazily,
-    stream every first city of every system through the same sweeps and
-    fold each answer into the best tour as it arrives; table_entries is the
-    largest table the run filled.  The split solver rotates each tour to
-    start at city 1 first; restricted_dp keeps the rotation it solved, so
-    every prefix of its tour lies in f.  The split systems come from
-    constructions.split_system, the one builder behind the warm-up
-    split_band_system too; split_prefix_system only turns alpha into its
-    threshold.
+    random_split_solver and framework_solver solve orbits: systems that are
+    all relabelings of one base F.  restricted_dp(relabel(F, sigma), d) is
+    restricted_dp(F, d_sigma) with d_sigma[i][j] = d[sigma(i)][sigma(j)] and
+    the tour mapped back through sigma, so each member is a problem with a
+    perm over the base's lattice, built and indexed once per call.  The
+    split solver's base is split_system(n, {1..floor(n/2)}, t), and a split
+    is the relabeling that sends 1..floor(n/2) onto its chosen cities.  The
+    framework's base is the union product of its families' bases, an index
+    tuple the blockwise relabeling, and unique-mode removed sets become the
+    tuple's keep filter.  Table columns are cities in the member's labels,
+    so ties break as on the built system: values, tours and table entries
+    equal one restricted_dp per built system.  The answers are folded into
+    the best tour as they arrive; table_entries is the largest table the
+    run filled.  The split solver rotates each tour to start at city 1
+    first; restricted_dp keeps the rotation it solved, so every prefix of
+    its tour lies in f.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah solves the tour as the path from city 1 back to
@@ -55,7 +79,7 @@ city that follows it; its smallest leaves are enumerated by _path_brute.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -68,9 +92,10 @@ from .systems import (
     CapError,
     FormatError,
     SetSystem,
-    mask_of,
+    image_masks,
     read_int_headers,
     submasks,
+    successor_index,
     union_product,
 )
 
@@ -80,6 +105,9 @@ WEIGHT_BOUND = 1 << 62  # n * max |weight| must stay below 2^63
 SENTINEL = 3 << 61  # a missing successor: see the module docstring
 BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
 CHUNK = 1 << 14  # cells of one (rows x cities) fill temporary
+# lattices of every subset of up to this many cities are cached: the largest
+# Gurevich-Shelah leaf group under HELD_KARP_CAP has this many
+SHARED_LATTICE = HELD_KARP_CAP // 2
 
 
 @dataclass(frozen=True)
@@ -169,31 +197,20 @@ def held_karp(inst: TspInstance) -> Solution:
 def restricted_dp(inst: TspInstance, f: SetSystem):
     """Cheapest tour among those supported by f, or None when f admits no
     chain.  Runs the chain DP for every first city {c} in f, their problems
-    swept together; table_entries is the largest of their tables."""
+    swept together over f's cached lattice, so repeat calls on f search
+    nothing; table_entries is the largest of their tables."""
     return _restricted_sweeps(inst, [f])
 
 
-def _restricted_sweeps(inst: TspInstance, systems, from_city_1=False):
-    """Lowest (value, tour) over the restricted DPs of every system, the
+def _fold(answers, from_city_1=False):
+    """Lowest (value, tour) among the (value, tour, entries) answers, the
     first on a tie, with the largest table the run filled; None when no
-    system admits a chain.  Systems are drawn lazily and each answer is
-    folded in as it arrives, so no list of systems or of tours is held.
-    With from_city_1, each tour is rotated to start at city 1 before it is
-    folded in, so the fold compares cycles rather than their rotations."""
-    n = inst.n
-    full = (1 << n) - 1
-
-    def problems():
-        for f in systems:
-            if f.n != n:
-                raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
-            masks = f.mask_set()
-            if 0 in masks and full in masks:
-                sets = np.fromiter(masks, np.int64, len(masks))
-                yield from ((sets, c, c) for c in range(1, n + 1) if 1 << (c - 1) in masks)
-
+    answer has a tour.  Answers are folded in as they arrive, so no list of
+    tours is held.  With from_city_1, each tour is rotated to start at city
+    1 before it is folded in, so the fold compares cycles rather than their
+    rotations."""
     best, peak = None, 0
-    for value, tour, entries in _chain_dp(inst.dist, full, problems()):
+    for value, tour, entries in answers:
         peak = max(peak, entries)
         if value is None:
             continue
@@ -205,118 +222,239 @@ def _restricted_sweeps(inst: TspInstance, systems, from_city_1=False):
     return None if best is None else Solution(*best, peak)
 
 
-def _chain_dp(d, top, problems):
-    """Answer chain problems (sets, first, last) that share d and top, one
-    (value, order, entries) per problem, in order.  The problems, any
-    iterable, are cut into _sweep calls of BATCH_ROWS candidate rows, or of
-    as many problems as fit beside a mask in an int64 key."""
-    room = 1 << (63 - top.bit_length())
+def _restricted_sweeps(inst: TspInstance, systems, from_city_1=False):
+    """_fold of restricted_dp over every system, drawn lazily: one _chain_dp
+    call per system that holds the empty and the full set."""
+    n = inst.n
+
+    def answers():
+        for f in systems:
+            if f.n != n:
+                raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
+            yield from _orbit_answers(inst, f, [(None, None)])
+
+    return _fold(answers(), from_city_1)
+
+
+def _orbit_answers(inst: TspInstance, base: SetSystem, members):
+    """Answers of the restricted DP over every member of an orbit of base,
+    one per first city, as one problem stream over base's lattice.  A member
+    (perm, keep) is the system relabel(base, sigma), sigma(j + 1) =
+    perm[j] + 1 (perm None: the identity), without the sets whose keep
+    entry, in base's level order, is False (keep None: all sets).  Members
+    drawn lazily; a member that lacks the empty or the full set has no
+    tour and no problem."""
+    if not (base.levels[0] and base.levels[-1]):
+        return
+    lat = _Lattice.of_system(base)
+    cols = [int(s).bit_length() - 1 for s in lat.levels[1]]  # each {first}'s column
+    at = lat.starts[1] + np.arange(len(cols))  # and its place in keep
+
+    def problems():
+        for perm, keep in members:
+            if keep is not None and not (keep[0] and keep[-1]):
+                continue
+            for j, i in zip(cols, at):
+                if keep is None or keep[i]:
+                    c = int(lat.cities[j if perm is None else perm[j]])
+                    yield c, c, perm, keep
+
+    yield from _chain_dp(inst.dist, lat, problems())
+
+
+class _Lattice:
+    """The sets a sweep runs over, in column space: bit j of a mask, and
+    column j of the sweep's tables, stand for the city cities[j], and top
+    is the set of all of them.  levels[k] holds the sets of k cities as an
+    ascending int64 array, and starts their offsets in level order.
+    index[k], when present, gives where in levels[k + 1] each set of
+    levels[k] plus bit j lies, -1 where it is missing; without it the sweep
+    searches levels[k + 1] per chunk of rows, and problems over the lattice
+    carry no perm."""
+
+    __slots__ = ("cities", "bits", "levels", "starts", "index")
+
+    def __init__(self, cities, levels, index=None):
+        self.cities = np.array(cities, dtype=np.int64)
+        self.bits = np.int64(1) << np.arange(len(self.cities), dtype=np.int64)
+        self.levels = levels
+        self.starts = np.concatenate(([0], np.cumsum([len(lv) for lv in levels])))
+        self.index = index
+
+    @property
+    def size(self) -> int:
+        return int(self.starts[-1])
+
+    @staticmethod
+    def of_system(f: SetSystem) -> "_Lattice":
+        """f's sets over the cities 1..n, with f's cached successor index."""
+        return _Lattice(range(1, f.n + 1), f.level_arrays(), f.successor_index())
+
+    @staticmethod
+    def of_cities(cities, first=None) -> "_Lattice":
+        """Every subset of the ascending cities that holds first (None:
+        every subset); a problem's rows are the sets that hold its first
+        city, so any lattice with more sets serves it too.  Up to
+        SHARED_LATTICE cities, that is every subset: the sets of powerset(m)
+        in column space, cached and indexed, which all leaf groups and
+        fixed paths over m cities share.  Above it, the subsets serve one
+        call (held_karp's: up to 2^23 of them), so they are built per call
+        and searched."""
+        m = len(cities)
+        if m <= SHARED_LATTICE:
+            return _Lattice(cities, *_powerset_lattice(m))
+        full = (1 << m) - 1
+        masks = submasks(full) if first is None else _submasks(full, cities.index(first) + 1)
+        level = np.bitwise_count(masks)
+        # masks ascend, so a stable sort by level keeps each level ascending
+        masks = masks[np.argsort(level, kind="stable")]
+        counts = np.bincount(level, minlength=m + 1)
+        return _Lattice(cities, np.split(masks, np.cumsum(counts[:-1])))
+
+
+@cache
+def _powerset_lattice(m):
+    """The level arrays and successor index of powerset(m)."""
+    f = SetSystem(m, range(1 << m))
+    return f.level_arrays(), f.successor_index()
+
+
+def _chain_dp(d, lat, problems):
+    """Answer chain problems (first, last, perm, keep) over one lattice and
+    one d, one (value, order, entries) per problem, in order.  The problems,
+    any iterable, are cut into _sweep calls of about BATCH_ROWS rows, each
+    problem counting the lattice's size."""
     batch, rows = [], 0
     for problem in problems:
         batch.append(problem)
-        rows += len(problem[0])
-        if rows >= BATCH_ROWS or len(batch) == room:
-            yield from _sweep(d, top, batch)
+        rows += lat.size
+        if rows >= BATCH_ROWS:
+            yield from _sweep(d, lat, batch)
             batch, rows = [], 0
     if batch:
-        yield from _sweep(d, top, batch)
+        yield from _sweep(d, lat, batch)
 
 
-def _sweep(d, top, problems):
-    """Solve a list of chain problems (sets, first, last) that share d and
-    top in one level sweep.  A problem asks for the cheapest chain from
-    {first} up to top through its sets, paying d[c][e] for each step that
-    adds city e after city c and d[c][last] after the last city c of top.
+def _sweep(d, lat, problems):
+    """Solve a list of chain problems (first, last, perm, keep) over one
+    lattice in one level sweep.  A problem asks for the cheapest chain from
+    {first} up to top through the sets sigma(s), s a set of the lattice
+    with keep (a bool per set, in level order; None keeps all), where
+    sigma maps column j to column perm[j] (None: the identity).  It pays
+    d[c][e] for each step that adds city e after city c and d[c][last]
+    after the last city c of top, the set of the lattice's cities.
 
-    sets is an int64 array of subsets of top; those without first are
-    skipped.  A row is keyed (problem << top.bit_length()) | s, and its
-    values table[s][c] are the cheapest completions from prefix-set s ending
-    at city c.  Levels (popcount of s) are filled from |top| down to 1, keys
-    sorted within each, so the successors s | e of a row are found with one
-    searchsorted in the level above, CHUNK // |top| rows at a time.  They
-    give nxt[r][e] = B(s | e, e), SENTINEL where s | e is missing; a row with
-    no successor is dropped, as no chain through it reaches top.  The row's
-    values are the (min,+) product min_e d[c][e] + nxt[r][e], folded in one
-    next city e at a time; a candidate wins only when strictly smaller, so
-    the stored choice is the smallest optimal next city, and following the
+    The problem's rows are the kept sets that hold sigma^-1(first): a
+    problem's rows are picked from the shared levels, never sorted or
+    searched.  Table columns are the cities of top after sigma, so a row's
+    values table[s][c] are the cheapest completions from prefix-set sigma(s)
+    ending at city c.  Levels are filled from |top| down to 1.  pos maps
+    each (problem, set) of a level to its row, -1 when it has none, so a
+    row's successors s | e in the level above are a gather of the lattice's
+    index, at column sigma^-1(e), through pos: CHUNK // |top| rows at a
+    time.  They give nxt[r][e] = B(s | e, e), read from a SENTINEL row
+    where s | e has no row; a row with no successor is dropped, as no chain
+    through it reaches top.  The row's values are the (min,+) product min_e
+    d[c][e] + nxt[r][e], folded in one next city e at a time; a candidate
+    wins only when strictly smaller, so the stored choice is the smallest
+    optimal next city in the problem's own labels, and following the
     choices from {first} gives the lexicographically smallest optimal order.
     Returns one (value, order, entries) per problem: order lists the cities
     of top from first, value and order are None when no chain reaches top,
     and entries counts the table's cells.
     """
-    shift = top.bit_length()
-    pos = [j for j in range(shift) if top >> j & 1]
-    m = len(pos)
-    bits = np.array([1 << j for j in pos], dtype=np.int64)
-    cities = np.array(pos) + 1
+    m, count = len(lat.bits), len(problems)
+    bits, cities, levels, index = lat.bits, lat.cities, lat.levels, lat.index
     dist = np.array(d, dtype=np.int64)
-    w = dist[cities][:, cities]  # columns are the cities of top, in order
-    count = len(problems)
-    keys = [np.zeros(0, dtype=np.int64)]
-    for p, (sets, first, _) in enumerate(problems):
-        keys.append(sets[(sets >> (first - 1) & 1 == 1) & (sets != top)] | p << shift)
-    keys = np.concatenate(keys)
-    level = np.bitwise_count(keys & top)
-    keys = keys[np.lexsort((keys, level))]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=m))))
-    # level m is top alone, one row per problem
-    up_keys = np.arange(count, dtype=np.int64) << shift | top
-    up_vals = dist[:, [last for _, _, last in problems]].T[:, cities]
-    entries = np.full(count, m, dtype=np.int64)
-    keys_at, choices_at = [None] * m, [None] * m
-    span = max(1, CHUNK // m)
     every = np.arange(m)
-    steps = np.ascontiguousarray(w.T)  # steps[e][c] = d[c][e]
+    firsts = np.searchsorted(cities, [p[0] for p in problems])  # columns
+    inv = None  # inv[p][e]: the lattice column that problem p labels e
+    if any(p[2] is not None for p in problems):
+        perms = np.array([every if p[2] is None else p[2] for p in problems])
+        inv = np.argsort(perms, axis=1)
+    at_first = firsts if inv is None else inv[np.arange(count), firsts]
+    fbits = bits[at_first]
+    keep = None
+    if any(p[3] is not None for p in problems):
+        keep = np.ones((count, lat.size), dtype=bool)
+        for p, problem in enumerate(problems):
+            if problem[3] is not None:
+                keep[p] = problem[3]
+    steps = np.ascontiguousarray(dist[cities][:, cities].T)  # steps[e][c] = d[c][e]
+    # level m is top alone, one row per problem; pos column 0 is "no row"
+    pos = np.stack((np.full(count, -1), np.arange(count)), axis=1)
+    up_vals = np.full((count + 1, m), SENTINEL, dtype=np.int64)  # last: SENTINEL row
+    up_vals[:count] = dist[cities][:, [p[1] for p in problems]].T
+    entries = np.full(count, m, dtype=np.int64)
+    pos_at, choices_at = [None] * (m + 1), [None] * m
+    span = max(1, CHUNK // m)
     for k in range(m - 1, 0, -1):
-        level_keys = keys[starts[k]:starts[k + 1]]
-        if not len(up_keys):  # no row above reaches top, so none here does
-            level_keys = level_keys[:0]
-        vals = np.empty((len(level_keys), m), dtype=np.int64)
-        choices = np.zeros((len(level_keys), m), dtype=np.int8)
-        alive = np.empty(len(level_keys), dtype=bool)
-        for lo in range(0, len(level_keys), span):
-            succ = level_keys[lo:lo + span, None] | bits
-            idx = np.searchsorted(up_keys, succ)
-            np.minimum(idx, len(up_keys) - 1, out=idx)
-            found = up_keys[idx] == succ
-            nxt = up_vals[idx, every]  # nxt[r, e] = B(s | e, e)
-            nxt[~found] = SENTINEL
-            rows = len(nxt)
-            alive[lo:lo + rows] = found.any(axis=1)
-            v, ch = vals[lo:lo + rows], choices[lo:lo + rows]
-            # succ and found are spent: they hold each next city's candidates
+        level = levels[k]
+        if len(up_vals) > 1:  # some row above reaches top
+            sel = (level & fbits[:, None]) != 0
+            if keep is not None:
+                sel &= keep[:, lat.starts[k]:lat.starts[k + 1]]
+            rp, ri = np.nonzero(sel)
+        else:
+            rp = ri = np.zeros(0, dtype=np.int64)
+        rows = len(rp)
+        vals = np.empty((rows + 1, m), dtype=np.int64)
+        choices = np.zeros((rows, m), dtype=np.int8)
+        alive = np.empty(rows, dtype=bool)
+        stride, pos_flat = pos.shape[1], pos.ravel()
+        for lo in range(0, rows, span):
+            rp_c, ri_c = rp[lo:lo + span], ri[lo:lo + span]
+            if index is None:  # a searched lattice: every problem keeps its labels
+                succ = successor_index(level[ri_c], levels[k + 1], bits)
+            elif inv is None:
+                succ = index[k][ri_c]
+            else:  # flat takes: fancy 2-d indexing costs about twice as much
+                succ = index[k].ravel().take(ri_c[:, None] * m + inv[rp_c])
+            up = pos_flat.take((rp_c * stride + 1)[:, None] + succ)
+            found = up >= 0
+            up *= m
+            up += every
+            nxt = up_vals.ravel().take(up)  # nxt[r, e] = B(s | e, e); row -1 is SENTINEL
+            alive[lo:lo + len(up)] = found.any(axis=1)
+            v, ch = vals[lo:lo + len(up)], choices[lo:lo + len(up)]
+            # up and found are spent: they hold each next city's candidates
             # and the cells those improve, so the chunk allocates nothing more
-            cand, better = succ, found
+            cand, better = up, found
             np.add(nxt[:, :1], steps[0], out=v)
             for e in range(1, m):
                 np.add(nxt[:, e:e + 1], steps[e], out=cand)
                 np.less(cand, v, out=better)  # strict: a tie keeps the smaller city
-                ch[better] = e
+                np.putmask(ch, better, e)
                 np.minimum(v, cand, out=v)
-            del succ, idx, found, nxt, cand, better  # freed before the next chunk allocates
+            del succ, up, found, nxt, cand, better  # freed before the next chunk allocates
         up_vals = None  # read in full: free it before this level is compacted
         if not alive.all():
-            level_keys, vals, choices = level_keys[alive], vals[alive], choices[alive]
-        up_keys, up_vals = level_keys, vals
-        keys_at[k], choices_at[k] = level_keys, choices
-        entries += np.bincount(up_keys >> shift, minlength=count) * k
-    # up_keys and up_vals hold level 1 now; walk from each {first} found there
-    firsts = np.array([first for _, first, _ in problems], dtype=np.int64)
-    key = np.arange(count, dtype=np.int64) << shift | 1 << (firsts - 1)
-    row = np.searchsorted(up_keys, key)
-    solved = np.flatnonzero(row < len(up_keys))
-    solved = solved[up_keys[row[solved]] == key[solved]]
-    row, key = row[solved], key[solved]
-    col = np.searchsorted(cities, firsts[solved])
+            kept = np.flatnonzero(alive)
+            rp, ri, choices = rp[kept], ri[kept], choices[kept]
+            vals = vals[np.append(kept, rows)]
+        vals[-1] = SENTINEL
+        pos = np.full((count, len(level) + 1), -1, dtype=np.int64)
+        pos[rp, ri + 1] = np.arange(len(rp))
+        up_vals = vals
+        pos_at[k], choices_at[k] = pos, choices
+        entries += np.bincount(rp, minlength=count) * k
+    # up_vals holds level 1 now; walk from each {first} found there
+    key = fbits
+    row = np.full(count, -1)
+    if len(levels[1]):
+        i = np.minimum(np.searchsorted(levels[1], key), len(levels[1]) - 1)
+        row = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], -1)
+    solved = np.flatnonzero(row >= 0)
+    row, key, col = row[solved], key[solved], firsts[solved]
     values = up_vals[row, col]
     order = np.empty((len(solved), m), dtype=np.int64)
     order[:, 0] = cities[col]
     for k in range(1, m):
         col = choices_at[k][row, col]
         order[:, k] = cities[col]
-        key |= bits[col]
         if k + 1 < m:
-            row = np.searchsorted(keys_at[k + 1], key)
+            key = key | bits[col if inv is None else inv[solved, col]]
+            row = pos_at[k + 1][solved, np.searchsorted(levels[k + 1], key) + 1]
     out = [(None, None, e) for e in entries.tolist()]
     for p, value, tour in zip(solved.tolist(), values.tolist(), order.tolist()):
         out[p] = value, tuple(tour), out[p][2]
@@ -333,8 +471,9 @@ def _fixed_path(d, cities, a, b):
     """Cheapest order of cities from a, plus the step from its last city to b
     (b outside cities, or b == a to close a cycle): the chain DP over every
     subset of cities that holds a.  Returns (value, order)."""
-    top = mask_of(cities)
-    [(value, order, _)] = _chain_dp(d, top, [(_submasks(top, a), a, b)])
+    cities = sorted(cities)
+    lat = _Lattice.of_cities(cities, a)
+    [(value, order, _)] = _chain_dp(d, lat, [(a, b, None, None)])
     return value, order
 
 
@@ -382,10 +521,10 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
         # starts and b in ends; brute-sized leaves are left to solve_path
         if len(cities) <= brute_leaf:
             return
-        top = mask_of(cities)
+        lat = _Lattice.of_cities(sorted(cities))
         pairs = list(product(starts, ends))
-        problems = [(_submasks(top, a), a, b) for a, b in pairs]
-        for (a, b), (value, order, _) in zip(pairs, _chain_dp(d, top, problems)):
+        problems = [(a, b, None, None) for a, b in pairs]
+        for (a, b), (value, order, _) in zip(pairs, _chain_dp(d, lat, problems)):
             memo[cities, a, b] = value, order
 
     def solve_path(cities: frozenset, a: int, b: int, depth: int):
@@ -437,10 +576,12 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     collection, and solves the restricted DP; every trial is feasible, and
     with enough trials some split brackets the optimal tour.  When trials
     covers all C(n, floor(n/2)) splits the enumeration is exhaustive (and
-    deterministic), which makes the solver an exact oracle.  Repeated draws
-    of the same split reuse the cached result.  Every answer is rotated to
-    start at city 1, as every other solver's is: a sampled split may support
-    the optimal cycle only from another city.
+    deterministic), which makes the solver an exact oracle.  A repeated draw
+    of a split is skipped, as it can only tie its first draw.  Every split
+    is a relabeling of one base split system, so all of them are swept over
+    the base's lattice.  Every answer is rotated to start at city 1, as
+    every other solver's is: a sampled split may support the optimal cycle
+    only from another city.
     """
     n = inst.n
     if not 0 <= alpha <= 0.5:
@@ -456,8 +597,13 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     # a repeated draw ties its first draw, so only the first one is solved
     seen = set()
     fresh = (chosen for chosen in splits if not (chosen in seen or seen.add(chosen)))
-    systems = (split_prefix_system(n, chosen, alpha) for chosen in fresh)
-    return _restricted_sweeps(inst, systems, from_city_1=True)
+    # split_system(n, chosen, t) is the base's image under the relabeling
+    # that sends 1..half onto chosen and the rest onto the rest, both in order
+    base = split_prefix_system(n, range(1, half + 1), alpha)
+    everyone = set(range(1, n + 1))
+    perms = (np.array([*chosen, *sorted(everyone.difference(chosen))]) - 1 for chosen in fresh)
+    members = ((perm, None) for perm in perms)
+    return _fold(_orbit_answers(inst, base, members), from_city_1=True)
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
@@ -480,7 +626,9 @@ def framework_solver(
     the union product of the chosen members supports exactly the tours whose
     induced per-block orders the members support, so scanning all tuples and
     taking the best restricted-DP result is exact whenever every family
-    covers its block's permutations.
+    covers its block's permutations.  Every tuple's product is a relabeling
+    of the bases' product, less its removed sets in unique mode, so all of
+    them are swept over that product's lattice.
     """
     n = inst.n
     sizes = partition_blocks(n, block_size)
@@ -492,16 +640,29 @@ def framework_solver(
             raise ValueError(f"family over [{fam.base.n}] for block of size {s}")
         if not covers_all(fam):
             raise ValueError("family does not cover its block's permutations")
-    member_systems = [fam.systems() for fam in families]
+    # the tuple's union product is the image of the bases' union product
+    # under the blockwise relabeling, minus the sets whose block part is
+    # the preimage of a removed set: one orbit with per-member row filters
+    base = reduce(union_product, [fam.base for fam in families])
+    flat = np.concatenate(base.level_arrays())
+    blocks, off = [], 0
+    for fam, size in zip(families, sizes):
+        part = flat >> off & (1 << size) - 1
+        members = []
+        for j, sigma in enumerate(fam.relabelings):
+            inverse = np.argsort(sigma) + 1
+            removed = fam.removed[j] if fam.unique_mode and fam.removed else ()
+            keep = ~np.isin(part, image_masks(list(removed), inverse)) if removed else None
+            members.append((np.array(sigma) - 1 + off, keep))
+        blocks.append(members)
+        off += size
 
-    def assemble(index_tuple) -> SetSystem:
-        combined = member_systems[0][index_tuple[0]]
-        for i in range(1, len(index_tuple)):
-            combined = union_product(combined, member_systems[i][index_tuple[i]])
-        return combined
+    def member(parts):
+        keeps = [keep for _, keep in parts if keep is not None]
+        keep = reduce(np.logical_and, keeps) if keeps else None
+        return np.concatenate([perm for perm, _ in parts]), keep
 
-    tuples = product(*(range(len(ms)) for ms in member_systems))
-    best = _restricted_sweeps(inst, map(assemble, tuples))
+    best = _fold(_orbit_answers(inst, base, map(member, product(*blocks))))
     if best is None:
         raise ValueError("no index tuple admits a tour")
     return best

@@ -26,6 +26,7 @@ threads.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from itertools import permutations as iter_permutations
 
 import numpy as np
@@ -39,6 +40,7 @@ INT64_LEVELS = 20  # chain counts stay int64 through this level: 20! < 2^63
 # their bytes per state
 STATE_BUDGET = 1 << 20
 _BITS = np.int64(1) << np.arange(GROUND_CAP, dtype=np.int64)  # element i+1 -> bit i
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # [v, j]: bit j of the byte v
 
 
 class CapError(ValueError):
@@ -106,6 +108,39 @@ def submasks(mask: int) -> np.ndarray:
     return subs
 
 
+def successor_index(lower, upper, bits) -> np.ndarray:
+    """idx[i, j] = position of lower[i] | bits[j] in the ascending int64
+    array upper, or -1 where upper lacks it, as int32.  With upper one
+    level above lower, a bit already in lower[i] reads -1.  Searched
+    CHAIN_CELLS cells at a time, one bit at a time: lower ascends, so the
+    sets plus one bit nearly do, which keeps each search close to the last."""
+    idx = np.full((len(lower), len(bits)), -1, dtype=np.int32)
+    if not len(upper):
+        return idx
+    rows = max(1, CHAIN_CELLS // max(len(bits), 1))
+    for lo in range(0, len(lower), rows):
+        succ = bits[:, None] | lower[lo : lo + rows]
+        at = np.searchsorted(upper, succ)
+        np.minimum(at, len(upper) - 1, out=at)  # past the end: clipped, misses
+        idx[lo : lo + rows] = np.where(upper[at] == succ, at, -1).T
+    return idx
+
+
+def image_masks(masks, sigma) -> np.ndarray:
+    """The int64 masks mapped elementwise through the permutation sigma
+    (element i -> sigma(i)): each byte of a mask is looked up in a table of
+    the images of its 256 values, and the lookups are or-ed together."""
+    masks = np.asarray(masks, dtype=np.int64)
+    image = _BITS[np.asarray(sigma, dtype=np.int64) - 1]  # element i + 1 -> bit of sigma(i + 1)
+    out = np.zeros(masks.shape, dtype=np.int64)
+    for lo in range(0, len(image), 8):
+        part = image[lo : lo + 8]
+        # the images are distinct bits, so summing a value's images ors them
+        table = _BYTE_BITS[: 1 << len(part), : len(part)] @ part
+        out |= table[masks >> lo & len(table) - 1]
+    return out
+
+
 def check_permutation(perm, n: int) -> None:
     if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of [{n}]: {perm!r}")
@@ -114,7 +149,7 @@ def check_permutation(perm, n: int) -> None:
 class SetSystem:
     """Immutable collection of subsets of [n], grouped by cardinality."""
 
-    __slots__ = ("n", "levels", "_mask_set", "_succ", "_elems", "_arrays")
+    __slots__ = ("n", "levels", "_mask_set", "_succ", "_elems", "_arrays", "_index")
 
     def __init__(self, n: int, masks):
         if n < 0:
@@ -136,6 +171,21 @@ class SetSystem:
         self._succ = None
         self._elems = None
         self._arrays = None
+        self._index = None
+
+    @classmethod
+    def _of_levels(cls, n: int, arrays) -> "SetSystem":
+        """The system whose level k is arrays[k]: ascending, duplicate-free
+        int64 masks of popcount k within [n], taken on trust."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.levels = tuple(tuple(a.tolist()) for a in arrays)
+        f._mask_set = frozenset(chain.from_iterable(f.levels))
+        f._succ = f._elems = f._index = None
+        for a in arrays:
+            a.flags.writeable = False
+        f._arrays = tuple(arrays)
+        return f
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -195,6 +245,21 @@ class SetSystem:
                 a.flags.writeable = False
             self._arrays = arrays
         return self._arrays
+
+    def successor_index(self) -> tuple:
+        """Per level k < n, the read-only int32 array successor_index(
+        level_arrays()[k], level_arrays()[k + 1], bits of 1..n): where in
+        level k + 1 each set plus each element lies, -1 where F lacks it.
+        Built on first use and cached; chain DPs read it instead of
+        searching."""
+        if self._index is None:
+            arrays = self.level_arrays()
+            bits = _BITS[: self.n]
+            index = tuple(successor_index(a, b, bits) for a, b in zip(arrays, arrays[1:]))
+            for a in index:
+                a.flags.writeable = False
+            self._index = index
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -363,17 +428,14 @@ def induced_split(perm, sizes) -> tuple[tuple[int, ...], ...]:
 def relabel(f: SetSystem, sigma) -> SetSystem:
     """Map every set elementwise through the permutation sigma."""
     check_permutation(sigma, f.n)
-    bits = [1 << (v - 1) for v in sigma]  # element i -> sigma(i)
-    out = []
-    for m in f.masks:
-        nm = 0
-        rest = m
-        while rest:
-            b = rest & -rest
-            nm |= bits[b.bit_length() - 1]
-            rest ^= b
-        out.append(nm)
-    return SetSystem(f.n, out)
+    arrays = f.level_arrays()
+    images = image_masks(np.concatenate(arrays), sigma)
+    # an image keeps its popcount, so each level maps onto itself
+    levels, lo = [], 0
+    for a in arrays:
+        levels.append(np.sort(images[lo : lo + len(a)]))
+        lo += len(a)
+    return SetSystem._of_levels(f.n, levels)
 
 
 def closure_from_permutations(n: int, perms) -> SetSystem:

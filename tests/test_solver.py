@@ -3,6 +3,7 @@
 from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,11 @@ from chainfold.solver import (
     BATCH_ROWS,
     WEIGHT_BOUND,
     Solution,
+    _Lattice,
     TspInstance,
     _chain_dp,
     _fixed_path,
     _path_brute,
-    _submasks,
     brute_force,
     dump_instance,
     framework_solver,
@@ -129,17 +130,23 @@ def test_held_karp_table_entries(n):
 
 
 @pytest.mark.parametrize("k", range(3, 8))
-def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
+def test_path_dp_matches_path_brute_on_every_endpoint_pair(k, monkeypatch):
     # weights in {1, 2} tie often, so the lexicographically smallest witness
-    # is checked along with the value; a == b is the closed-tour case
-    for seed in range(4):
-        inst = random_instance(9, seed * 13 + k, max_weight=2)
-        cities = SplitMix64(seed).sample(9, k)
-        for a in cities:
-            for b in cities:
-                # b follows the last city, so it lies outside the path's cities
-                path = cities if a == b else [c for c in cities if c != b]
-                assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
+    # is checked along with the value; a == b is the closed-tour case.  The
+    # sweep runs over the cached powerset lattice, and over the lattice of
+    # the subsets that hold a, built per call as for more cities
+    from chainfold import solver
+
+    for shared in (solver.SHARED_LATTICE, 0):
+        monkeypatch.setattr(solver, "SHARED_LATTICE", shared)
+        for seed in range(4):
+            inst = random_instance(9, seed * 13 + k, max_weight=2)
+            cities = SplitMix64(seed).sample(9, k)
+            for a in cities:
+                for b in cities:
+                    # b follows the last city, so it lies outside the path's cities
+                    path = cities if a == b else [c for c in cities if c != b]
+                    assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,17 +345,27 @@ def test_gs_batched_leaves_match_held_karp(n, low, high):
 
 
 @pytest.mark.parametrize("k", (7, 8))
-def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k):
+def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k, monkeypatch):
     # the two shapes of a leaf group: one first city with many last cities
-    # (a path's first half), many first cities with one last city (its rest)
+    # (a path's first half), many first cities with one last city (its rest),
+    # swept over the cached powerset lattice and over the lattices built per
+    # call for more cities: every subset, or the subsets that hold the one
+    # first city
+    from chainfold import solver
+
     inst = _instance(2 * k, k, 1, 2)
     cities = sorted(SplitMix64(k).sample(2 * k, k))
     outside = [c for c in range(1, 2 * k + 1) if c not in cities]
-    top = mask_of(cities)
-    for ends in ([(cities[0], b) for b in outside], [(a, outside[0]) for a in cities]):
-        got = list(_chain_dp(inst.dist, top, [(_submasks(top, a), a, b) for a, b in ends]))
-        expected = [_fixed_path(inst.dist, cities, a, b) for a, b in ends]
-        assert [(value, order) for value, order, _ in got] == expected
+    shapes = ([(cities[0], b) for b in outside], [(a, outside[0]) for a in cities])
+    expected = [[_fixed_path(inst.dist, cities, a, b) for a, b in ends] for ends in shapes]
+    for shared in (solver.SHARED_LATTICE, 0):
+        monkeypatch.setattr(solver, "SHARED_LATTICE", shared)
+        lattices = (_Lattice.of_cities(cities), _Lattice.of_cities(cities, cities[0]))
+        assert (lattices[0].index is None) == (shared == 0)
+        for ends, paths in zip(shapes, expected):
+            for lat in lattices[:1 + (ends[0][0] == ends[1][0])]:
+                got = list(_chain_dp(inst.dist, lat, [(a, b, None, None) for a, b in ends]))
+                assert [(value, order) for value, order, _ in got] == paths
 
 
 def test_gs_cap():
@@ -409,6 +426,19 @@ def test_warmup_prescribed_trials_statistical_regression():
     assert hits == len(seeds)
 
 
+def _best_of(solutions):
+    """The lowest (value, tour) of some restricted_dp answers, with the
+    largest table_entries among them."""
+    solutions = [sol for sol in solutions if sol is not None]
+    value, tour = min((sol.value, sol.tour) for sol in solutions)
+    return Solution(value, tour, max(sol.table_entries for sol in solutions))
+
+
+def _from_city_1(sol):
+    at = sol.tour.index(1)
+    return Solution(sol.value, sol.tour[at:] + sol.tour[:at], sol.table_entries)
+
+
 @pytest.mark.parametrize("n", range(6, 10))
 def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
     # the split and framework solvers sweep many systems at once; each must
@@ -420,15 +450,6 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
 
     from chainfold import solver, verify
     from chainfold.systems import union_product
-
-    def best_of(solutions):
-        solutions = [sol for sol in solutions if sol is not None]
-        value, tour = min((sol.value, sol.tour) for sol in solutions)
-        return Solution(value, tour, max(sol.table_entries for sol in solutions))
-
-    def from_city_1(sol):  # the split solver folds tours rotated to city 1
-        at = sol.tour.index(1)
-        return Solution(sol.value, sol.tour[at:] + sol.tour[:at], sol.table_entries)
 
     inst = random_instance(n, 40 + n, max_weight=2)
     half = n // 2
@@ -443,12 +464,12 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
     mixed += [SetSystem(n, {gen.randbelow(full) for _ in range(4 * n)} | set(prefix_chain(gen.permutation(n))))
               for _ in range(6)]
     expected = {
-        "exhaustive": best_of(from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.445)))
-                              for c in exhaustive),
-        "sampled": best_of(from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.3)))
-                           for c in drawn),
-        "framework": best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
-        "mixed": best_of(restricted_dp(inst, f) for f in mixed),
+        "exhaustive": _best_of(_from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.445)))
+                               for c in exhaustive),
+        "sampled": _best_of(_from_city_1(restricted_dp(inst, split_prefix_system(n, c, 0.3)))
+                            for c in drawn),
+        "framework": _best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples),
+        "mixed": _best_of(restricted_dp(inst, f) for f in mixed),
     }
     for batch_rows in (1, 3 << n, BATCH_ROWS):
         monkeypatch.setattr(solver, "BATCH_ROWS", batch_rows)
@@ -485,28 +506,29 @@ def test_batched_solvers_keep_the_largest_table_beside_the_best_tour():
 
 
 def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
-    # one problem per sweep when a single problem fills BATCH_ROWS or the
-    # int64 key has room for one problem index (n = 63), all in one sweep
-    # when the rows never fill; a generator gives what a list gives
+    # one problem per sweep when a single problem fills BATCH_ROWS, all in
+    # one sweep when the rows never fill; a generator gives what a list
+    # gives.  Rows carry no problem index, so even at n = 63 every first
+    # city of a system shares one sweep
     from chainfold import solver
 
     sizes = []
     sweep = solver._sweep
 
-    def recording(d, top, problems):
+    def recording(d, lat, problems):
         sizes.append(len(problems))
-        return sweep(d, top, problems)
+        return sweep(d, lat, problems)
 
     inst = random_instance(6, 1)
-    top = (1 << 6) - 1
-    problems = [(_submasks(top, a), a, a) for a in range(1, 7)]  # 32 rows each
-    expected = list(_chain_dp(inst.dist, top, problems))
+    lat = _Lattice.of_cities(list(range(1, 7)))  # each problem counts its 64 sets
+    problems = [(a, a, None, None) for a in range(1, 7)]
+    expected = list(_chain_dp(inst.dist, lat, problems))
     monkeypatch.setattr(solver, "_sweep", recording)
-    for batch_rows, cut in ((1, [1] * 6), (1 << 40, [6]), (2 * 32, [2] * 3)):
+    for batch_rows, cut in ((1, [1] * 6), (1 << 40, [6]), (2 * 64, [2] * 3)):
         monkeypatch.setattr(solver, "BATCH_ROWS", batch_rows)
         for stream in (problems, (p for p in problems)):
             sizes.clear()
-            assert list(_chain_dp(inst.dist, top, stream)) == expected
+            assert list(_chain_dp(inst.dist, lat, stream)) == expected
             assert sizes == cut
     monkeypatch.setattr(solver, "BATCH_ROWS", 1 << 40)
     gen = SplitMix64(63)
@@ -514,7 +536,111 @@ def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
     firsts = sum(1 for c in range(1, 64) if 1 << (c - 1) in f.mask_set())
     sizes.clear()
     assert restricted_dp(_instance(63, 63, 1, 3), f) is not None
-    assert sizes == [1] * firsts and firsts > 1
+    assert sizes == [firsts] and firsts > 1
+
+
+def _orbit_member(inst, base, perm, keep=None):
+    from chainfold import solver
+
+    return solver._fold(solver._orbit_answers(inst, base, [(perm, keep)]))
+
+
+@pytest.mark.parametrize("low, high", [(1, 2), (-1, 1)])
+@pytest.mark.parametrize("n", (5, 6, 7, 9))
+def test_relabeled_ties_match_one_restricted_dp_per_built_system(n, low, high):
+    # tied weights give many optimal tours, so a member that broke a tie in
+    # the base's labels instead of its own would return another witness or
+    # table size.  Each member of a split or framework orbit, swept over the
+    # base, must give what restricted_dp gives on its explicitly built
+    # system; the framework member's row filter comes from that system here,
+    # set by set, not from the solver's removed-set mapping.  Each solver
+    # must give the best of its members, with the largest table.
+    from functools import reduce
+    from itertools import combinations, product
+
+    from chainfold import verify
+    from chainfold.cover import make_unique
+    from chainfold.systems import image_masks, union_product
+
+    inst = _instance(n, 60 + n, low, high)
+    half = n // 2
+    base = split_prefix_system(n, range(1, half + 1), 0.445)
+    everyone = set(range(1, n + 1))
+    splits = list(combinations(range(1, n + 1), half))
+    members = []
+    for chosen in splits:
+        perm = np.array([*chosen, *sorted(everyone - set(chosen))]) - 1
+        members.append(restricted_dp(inst, split_prefix_system(n, chosen, 0.445)))
+        assert _orbit_member(inst, base, perm) == members[-1]
+    assert random_split_solver(inst, 0.445, len(splits), 0) == _best_of(map(_from_city_1, members))
+    gen = SplitMix64(n)
+    drawn = [gen.sample(n, half) for _ in range(len(splits) // 2)]
+    sampled = (restricted_dp(inst, split_prefix_system(n, c, 0.3)) for c in drawn)
+    expected = _best_of(map(_from_city_1, sampled))
+    assert random_split_solver(inst, 0.3, len(drawn), n) == expected
+
+    block_size, plain = verify.framework_plan(n)
+    for families in (plain, [make_unique(fam) for fam in plain]):
+        product_base = reduce(union_product, [fam.base for fam in families])
+        flat = np.concatenate(product_base.level_arrays())
+        members = []
+        for parts in product(*(zip(fam.relabelings, fam.systems()) for fam in families)):
+            built = reduce(union_product, [g for _, g in parts])
+            members.append(restricted_dp(inst, built))
+            sigma, off = [], 0
+            for relabeling, g in parts:
+                sigma += [off + v for v in relabeling]
+                off += g.n
+            keep = np.isin(image_masks(flat, sigma), list(built.mask_set()))
+            assert _orbit_member(inst, product_base, np.array(sigma) - 1, keep) == members[-1]
+        assert framework_solver(inst, block_size, families) == _best_of(members)
+
+
+def test_unique_framework_reports_its_largest_table():
+    # unique-mode members are relabelings minus removed sets, so their
+    # tables differ; the run reports the largest (2307), not the winner's
+    from functools import reduce
+    from itertools import product
+
+    from chainfold.cover import make_unique
+    from chainfold.systems import union_product
+
+    base = core_prefix_system(5, 0.8, 0.4)
+    fam = make_unique(greedy_prune(random_cover(base, seed=4, max_tries=500)))
+    assert any(fam.removed)
+    inst = random_instance(10, 1)
+    sol = framework_solver(inst, 5, [fam, fam])
+    assert (sol.value, sol.table_entries) == (110, 2307)
+    tuples = product(fam.systems(), repeat=2)
+    assert sol == _best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples)
+
+
+def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
+    # the successor index is built on a system's first restricted_dp, one
+    # search per level below the top, and read by every later call; it and
+    # the level arrays are read-only, and a fresh, equal system answers alike
+    from chainfold import systems
+
+    calls = []
+    build = systems.successor_index
+
+    def counting(lower, upper, bits):
+        calls.append(len(lower))
+        return build(lower, upper, bits)
+
+    monkeypatch.setattr(systems, "successor_index", counting)
+    f = core_prefix_system(9, 0.78, 0.45)
+    first = [restricted_dp(random_instance(9, seed), f) for seed in range(4)]
+    assert calls == [len(level) for level in f.levels[:-1]]
+    more = [restricted_dp(random_instance(9, seed), f) for seed in range(4)]
+    assert more == first and len(calls) == f.n
+    for array in f.successor_index() + f.level_arrays():
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    fresh = SetSystem(f.n, f.masks)
+    assert [restricted_dp(random_instance(9, seed), fresh) for seed in range(4)] == first
+    assert len(calls) == 2 * f.n
 
 
 def test_warmup_validation():

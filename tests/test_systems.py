@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -389,6 +390,38 @@ def test_relabel_preserves_metrics(f, data):
     assert len(g) == len(f)
     assert count_chains(g) == count_chains(f)
     assert metrics(g) == metrics(f)
+
+
+@settings(max_examples=40)
+@given(set_systems())
+def test_successor_index_matches_successor_map(f):
+    # entry [i, j] of level k is where set i plus element j + 1 lies in
+    # level k + 1, -1 where F lacks it, as the dict-based successor map says
+    arrays, index = f.level_arrays(), f.successor_index()
+    assert len(index) == f.n
+    for k, (level, idx) in enumerate(zip(arrays, index)):
+        assert idx.shape == (len(level), f.n) and idx.dtype == np.int32
+        for i, s in enumerate(level.tolist()):
+            got = {j + 1: int(arrays[k + 1][idx[i, j]]) for j in range(f.n) if idx[i, j] >= 0}
+            assert got == dict(f.successors()[s])
+
+
+@pytest.mark.parametrize("n", (1, 8, 9, 16, 63))
+def test_relabel_matches_bitwise_reference(n):
+    # the per-byte image tables against mapping each mask bit by bit
+    import random
+
+    rng = random.Random(n)
+    f = SetSystem(n, {rng.getrandbits(n) for _ in range(300)} | {0, (1 << n) - 1})
+    for _ in range(5):
+        sigma = list(range(1, n + 1))
+        rng.shuffle(sigma)
+        images = [mask_of(sigma[e - 1] for e in elems_of(m)) for m in f.masks]
+        assert systems.image_masks(list(f.masks), sigma).tolist() == images
+        g = relabel(f, sigma)
+        assert g.levels == SetSystem(n, images).levels
+        assert g.mask_set() == frozenset(images)
+        assert [a.tolist() for a in g.level_arrays()] == [list(lv) for lv in g.levels]
 
 
 # --- closure_from_permutations ---------------------------------------------
