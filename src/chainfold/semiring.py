@@ -13,17 +13,19 @@ Three evaluators, strongest preconditions last:
 
 * evaluate_brute -- fold over all n! permutations; the oracle.
 * evaluate_dp    -- subset DP with the last d-1 entries in the state, swept
-  level by level and grouped by prefix mask.  Zero states are never kept
-  (sound by the annihilation law, see SemiringDescriptor), so counting linear
-  extensions visits downsets only, and the DP is capped by the states it
-  holds at once (systems.STATE_BUDGET), not by n.
+  level by level and grouped by prefix mask; below degree 3 each (mask,
+  added element) step folds all its tails into one accumulator.  Zero states
+  are never kept (sound by the annihilation law, see SemiringDescriptor), so
+  counting linear extensions visits downsets only, and the DP is capped by
+  the states it holds at once (systems.STATE_BUDGET), not by n.
 * evaluate_restricted / evaluate_unique -- per-member restricted DPs over a
-  covering family, combined with (+).  Restricted needs an additively
-  idempotent semiring (overlapping members would otherwise double-count)
-  and a family that covers every permutation; unique accepts any semiring
-  because each permutation is supported exactly once.  Both certify their
-  family's claim (once per family, see cover.covers_all and
-  cover.exactly_once) before summing.
+  covering family, each stepping along its member's cached successor map,
+  combined with (+).  Restricted needs an additively idempotent semiring
+  (overlapping members would otherwise double-count) and a family that
+  covers every permutation; unique accepts any semiring because each
+  permutation is supported exactly once.  Both certify their family's claim
+  (once per family, see cover.covers_all and cover.exactly_once) before
+  summing.
 
 Degree is capped at 3: the DP state carries the last d-1 entries, and beyond
 that the state blowup defeats the desk-scale purpose.
@@ -41,9 +43,10 @@ from .systems import GROUND_CAP, CapError, FormatError, read_int_headers
 DEGREE_CAP = 3
 BRUTE_CAP = 8
 # The DP holds at most systems.STATE_BUDGET live (mask, tail) states: about
-# 100 MiB of Python objects at degree 2 (104 B a state under tracemalloc,
-# n = 14, int values) and about 330 MiB at degree <= 1, where each mask holds
-# its one state in its own dict.
+# 60 MiB of Python objects at degree 2 (58 B a state under tracemalloc,
+# n = 14, int values; the (v,) keys are shared) and about 330 MiB at degree
+# <= 1, where each mask holds its one state in its own dict.
+_ABSENT = object()  # a state not yet created; a created state may equal zero
 
 
 @dataclass(frozen=True)
@@ -115,67 +118,87 @@ def evaluate_brute(p: PermutationProblem):
     return total
 
 
-def _dp_over_masks(p: PermutationProblem, allowed=None):
+def _dp_over_masks(p: PermutationProblem, member=None):
     """Subset DP with states (prefix mask, last d-1 entries), swept level by
     level; a level is {mask: {tail: value}} and holds only nonzero states.
 
-    Each mask walks its free elements once, tests each successor mask against
-    allowed once, and then extends every tail it holds.  A cost that is the
-    semiring's zero object skips its multiply, and a contribution equal to
-    zero never creates a state: by annihilation, mul(zero, x) = zero, so a
-    zero state would only pass zero on.  Counting linear extensions thus
-    visits downsets only.  The visiting order is deterministic, so the cost
-    calls repeat exactly from run to run.
+    Each mask steps to its successors by ascending added element v: every
+    free element, or the cached member.successors() of a member SetSystem,
+    which restricts prefix masks to that system's masks, so the sums range
+    over exactly the supported permutations.  Below degree 3 every tail of a
+    mask steps to the same next state, (v,) at degree 2 and () below, so its
+    contributions fold into one accumulator, add(add(existing, c1), c2)...;
+    at degree 3 each tail updates its own.  A cost that is the semiring's
+    zero object skips its multiply, and a contribution equal to zero never
+    creates a state: by annihilation, mul(zero, x) = zero, so a zero state
+    would only pass zero on.  Counting linear extensions thus visits downsets
+    only.  The visiting order is deterministic, so the cost calls repeat
+    exactly from run to run.
 
-    allowed, when given, restricts prefix masks to a set system's masks; the
-    per-state sums then range over exactly the supported permutations.
     Raises CapError once more than systems.STATE_BUDGET states are live at
     once: the level being swept plus the states created so far in the next.
     """
     add, mul, zero = p.semiring.add, p.semiring.mul, p.semiring.zero
     cost = p.local_cost
     n, d = p.n, p.degree
-    keep = max(0, d - 1)
-    full = (1 << n) - 1
-    if allowed is not None and 0 not in allowed:
+    succ = None if member is None else member.successors()
+    if succ is not None and 0 not in succ:
         return zero
+    bits = [(v, 1 << (v - 1)) for v in range(1, n + 1)]
+    news = [(v,) if d else () for v in range(n + 1)]
     budget = systems.STATE_BUDGET
     level, width = {0: {(): p.semiring.one}}, 1
-    for j in range(n):
-        # tails here hold min(keep, j) entries, so tail + (v,) is the cost's
-        # tail of min(d, j + 1) entries; past the first keep levels the next
-        # state drops its oldest entry
-        cut = 1 if d and j >= keep else 0
+    for _ in range(n):
         live = width
         nxt = {}
         for mask, tails in level.items():
-            free = full & ~mask
-            while free:
-                bit = free & -free
-                free ^= bit
-                m2 = mask | bit
-                if allowed is not None and m2 not in allowed:
-                    continue
-                newest = (bit.bit_length(),) if d else ()
+            items = tuple(tails.items())
+            if succ is None:
+                steps = [(v, mask | b) for v, b in bits if not mask & b]
+            else:
+                steps = succ[mask]
+            for v, m2 in steps:
+                newest = news[v]
                 row = nxt.get(m2)
-                if row is None:
-                    row = {}
-                for tail, val in tails.items():
-                    args = tail + newest
-                    w = cost(m2, args)
+                if d == 3:
+                    if row is None:
+                        row = {}
+                    for tail, val in items:
+                        args = tail + newest
+                        w = cost(m2, args)
+                        if w is zero:
+                            continue
+                        t2 = args[-2:]  # the next state's last two entries
+                        contrib = mul(val, w)
+                        if t2 in row:
+                            row[t2] = add(row[t2], contrib)
+                        elif contrib != zero:
+                            row[t2] = contrib
+                            live += 1
+                            if live > budget:
+                                raise _over_budget()
+                    if row:
+                        nxt[m2] = row
+                    continue
+                key = newest if d == 2 else ()
+                acc = _ABSENT if row is None else row.get(key, _ABSENT)
+                for tail, val in items:
+                    w = cost(m2, tail + newest)
                     if w is zero:
                         continue
-                    t2 = args[cut:]
                     contrib = mul(val, w)
-                    if t2 in row:
-                        row[t2] = add(row[t2], contrib)
+                    if acc is not _ABSENT:
+                        acc = add(acc, contrib)
                     elif contrib != zero:
-                        row[t2] = contrib
+                        acc = contrib
                         live += 1
                         if live > budget:
                             raise _over_budget()
-                if row:
-                    nxt[m2] = row
+                if acc is not _ABSENT:
+                    if row is None:
+                        nxt[m2] = {key: acc}
+                    else:
+                        row[key] = acc
         level, width = nxt, live - width
     total = zero
     for tails in level.values():
@@ -230,7 +253,7 @@ def _sum_over_members(p: PermutationProblem, family: CoverFamily):
     for member in family.systems():
         if member.n != p.n:
             raise ValueError("family ground set does not match problem size")
-        total = add(total, _dp_over_masks(p, member.mask_set()))
+        total = add(total, _dp_over_masks(p, member))
     return total
 
 

@@ -215,7 +215,8 @@ class SetSystem:
         return f"SetSystem(n={self.n}, size={len(self)})"
 
     def successors(self) -> dict:
-        """mask -> tuple of (added element, next mask in F); cached."""
+        """mask -> tuple of (added element, next mask in F), ascending by
+        added element; cached."""
         if self._succ is None:
             succ = {m: [] for m in self._mask_set}
             for lv in self.levels[1:]:

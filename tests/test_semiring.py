@@ -174,9 +174,137 @@ def test_restricted_dp_matches_brute_over_supported_permutations(descriptor, deg
         perms = [perm for perm in permutations(range(1, n + 1)) if supports(f, perm)]
         for perm in perms:
             ref = descriptor.add(ref, p.value(perm))
-        assert _dp_over_masks(p, f.mask_set()) == ref
+        assert _dp_over_masks(p, f) == ref
         supported.append(len(perms) / factorial(n))
     assert 0 < min(supported) and max(supported) < 1
+
+
+def _reference_dp(p, allowed=None):
+    """The semiring DP as a per-tail dict loop, the oracle for _dp_over_masks:
+    free bits walked in ascending order, each transition updating its own
+    next state.  Returns the value and the most states live at once, the
+    level being swept plus the next; it has no budget of its own."""
+    add, mul, zero = p.semiring.add, p.semiring.mul, p.semiring.zero
+    n, d = p.n, p.degree
+    keep = max(0, d - 1)
+    full = (1 << n) - 1
+    if allowed is not None and 0 not in allowed:
+        return zero, 0
+    level, width, peak = {0: {(): p.semiring.one}}, 1, 1
+    for j in range(n):
+        cut = 1 if d and j >= keep else 0
+        live = width
+        nxt = {}
+        for mask, tails in level.items():
+            free = full & ~mask
+            while free:
+                bit = free & -free
+                free ^= bit
+                m2 = mask | bit
+                if allowed is not None and m2 not in allowed:
+                    continue
+                newest = (bit.bit_length(),) if d else ()
+                row = nxt.get(m2, {})
+                for tail, val in tails.items():
+                    args = tail + newest
+                    w = p.local_cost(m2, args)
+                    if w is zero:
+                        continue
+                    t2 = args[cut:]
+                    contrib = mul(val, w)
+                    if t2 in row:
+                        row[t2] = add(row[t2], contrib)
+                    elif contrib != zero:
+                        row[t2] = contrib
+                        live += 1
+                if row:
+                    nxt[m2] = row
+        level, width, peak = nxt, live - width, max(peak, live)
+    total = zero
+    for tails in level.values():
+        for val in tails.values():
+            total = add(total, val)
+    return total, peak
+
+
+def _recorded(seed, n, degree, descriptor):
+    """A _random_problem drawn from SplitMix64(seed) whose zero costs are, on
+    odd (mask + tail sum), an equal but distinct zero object, so the DP runs
+    their multiply; and the list of (mask, tail) calls it receives."""
+    p = _random_problem(SplitMix64(seed), n, degree, descriptor)
+    calls = []
+
+    def cost(mask, tail):
+        calls.append((mask, tail))
+        w = p.local_cost(mask, tail)
+        if w is descriptor.zero and (mask + sum(tail)) % 2:
+            return float("inf") if descriptor is MIN_PLUS else Fraction(0)
+        return w
+
+    return PermutationProblem(n, degree, cost, descriptor), calls
+
+
+@pytest.mark.parametrize("descriptor", [MIN_PLUS, COUNTING, MAX_TIMES])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_dp_matches_per_tail_reference(descriptor, degree):
+    # the same value from the same cost calls in the same order, over every
+    # mask and over a random system's, which lacks the empty or the full set
+    # on some trials
+    gen = SplitMix64(degree * 53 + 3)
+    for trial in range(8):
+        n = 1 + gen.randbelow(7)
+        f = None
+        if trial % 2:
+            forced = {0, (1 << n) - 1} if trial % 4 == 1 else set()
+            f = SetSystem(n, {m for m in range(1 << n) if gen.randbelow(4)} | forced)
+        seed = gen.next64()
+        p, calls = _recorded(seed, n, degree, descriptor)
+        ref_p, ref_calls = _recorded(seed, n, degree, descriptor)
+        allowed = None if f is None else f.mask_set()
+        assert _dp_over_masks(p, f) == _reference_dp(ref_p, allowed)[0]
+        assert calls == ref_calls
+
+
+@pytest.mark.parametrize(
+    "degree, mask, tail", [(1, 0b011, (1,)), (2, 0b0111, (1, 3))], ids=["degree1", "degree2"]
+)
+def test_a_state_that_sums_to_zero_stays_live(degree, mask, tail):
+    # one step costs -1 and every other 1, so the state that step reaches
+    # sums to 1 - 1 = 0; it was created, so it still extends, as in the
+    # reference
+    def cost(m, t):
+        calls.append((m, t))
+        return -1 if (m, t) == (mask, tail) else 1
+
+    p = PermutationProblem(4, degree, cost, COUNTING)
+    calls = []
+    value = _dp_over_masks(p)
+    got, calls = calls, []
+    assert (value, got) == (_reference_dp(p)[0], calls)
+    assert value == evaluate_brute(p)
+
+
+def _finite_degree3_problem():
+    return PermutationProblem(6, 3, lambda mask, tail: (mask * 7 + sum(tail)) % 11, MIN_PLUS)
+
+
+@pytest.mark.parametrize(
+    "problem, member",
+    [
+        (_finite_degree3_problem(), None),
+        (tsp_path_problem(random_instance(6, 4)), from_spec("thm45:6,0.667,0.334")),
+    ],
+    ids=["degree3", "member"],
+)
+def test_reference_live_peak_is_the_budget_edge(monkeypatch, problem, member):
+    # past test_tsp_live_peak_is_the_sweeps_own_peak: every state is live at
+    # degree 3 with finite costs, and a member DP holds its system's states
+    value, peak = _reference_dp(problem, None if member is None else member.mask_set())
+    monkeypatch.setattr(systems, "STATE_BUDGET", peak)
+    assert _dp_over_masks(problem, member) == value < inf
+    monkeypatch.setattr(systems, "STATE_BUDGET", peak - 1)
+    with pytest.raises(CapError):
+        _dp_over_masks(problem, member)
 
 
 @pytest.mark.parametrize("descriptor", [MIN_PLUS, COUNTING, MAX_TIMES])
@@ -246,7 +374,7 @@ def test_restricted_refuses_family_that_misses_a_permutation():
     problem = tsp_path_problem(random_instance(6, 3))
     assert evaluate_dp(problem) == 67
     fam = CoverFamily(from_spec("thm45:6,0.667,0.334"), ((1, 2, 3, 4, 5, 6),))
-    assert _dp_over_masks(problem, fam.systems()[0].mask_set()) == 93
+    assert _dp_over_masks(problem, fam.systems()[0]) == 93
     with pytest.raises(ValueError, match="does not cover"):
         evaluate_restricted(problem, fam)
     assert fam._covers_all is False
@@ -277,7 +405,7 @@ def test_overlap_hazard_is_real():
     # two identical powerset members: every permutation is counted twice
     fam = CoverFamily(powerset(3), ((1, 2, 3), (1, 2, 3)))
     p = PermutationProblem(3, 0, lambda mask, tail: 1, COUNTING)
-    member_sum = sum(_dp_over_masks(p, g.mask_set()) for g in fam.systems())
+    member_sum = sum(_dp_over_masks(p, g) for g in fam.systems())
     assert member_sum == 12 > evaluate_dp(p) == 6
 
 

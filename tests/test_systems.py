@@ -396,14 +396,15 @@ def test_relabel_preserves_metrics(f, data):
 @given(set_systems())
 def test_successor_index_matches_successor_map(f):
     # entry [i, j] of level k is where set i plus element j + 1 lies in
-    # level k + 1, -1 where F lacks it, as the dict-based successor map says
+    # level k + 1, -1 where F lacks it, as the dict-based successor map says;
+    # the map lists each set's successors by ascending added element
     arrays, index = f.level_arrays(), f.successor_index()
     assert len(index) == f.n
     for k, (level, idx) in enumerate(zip(arrays, index)):
         assert idx.shape == (len(level), f.n) and idx.dtype == np.int32
         for i, s in enumerate(level.tolist()):
             got = {j + 1: int(arrays[k + 1][idx[i, j]]) for j in range(f.n) if idx[i, j] >= 0}
-            assert got == dict(f.successors()[s])
+            assert f.successors()[s] == tuple(got.items())
 
 
 @pytest.mark.parametrize("n", (1, 8, 9, 16, 63))
