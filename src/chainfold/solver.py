@@ -10,7 +10,7 @@ A lattice holds the sets a sweep may visit, subsets of a city set top kept
 as one ascending int64 array per popcount, and their successor index: for
 each set s and each city e of top, where s | e lies in the level above, or
 -1.  A SetSystem caches its index (SetSystem.successor_index), built on its
-first DP.  Every sweep over the subsets of m <= SHARED_LATTICE cities (the
+first use.  Every sweep over the subsets of m <= SHARED_LATTICE cities (the
 Gurevich-Shelah leaf groups, held_karp and _fixed_path) shares the cached
 lattice of powerset(m), read with bit j standing for the j-th city.  Above
 that, the subsets that hold a fixed path's first city (held_karp's: up to
@@ -199,7 +199,9 @@ def restricted_dp(inst: TspInstance, f: SetSystem):
     chain.  Runs the chain DP for every first city {c} in f, their problems
     swept together over f's cached lattice, so repeat calls on f search
     nothing; table_entries is the largest of their tables."""
-    return _restricted_sweeps(inst, [f])
+    if f.n != inst.n:
+        raise ValueError(f"system over [{f.n}] vs instance with {inst.n} cities")
+    return _fold(_orbit_answers(inst, f, [(None, None)]))
 
 
 def _fold(answers, from_city_1=False):
@@ -220,20 +222,6 @@ def _fold(answers, from_city_1=False):
         if best is None or (value, tour) < best:
             best = value, tour
     return None if best is None else Solution(*best, peak)
-
-
-def _restricted_sweeps(inst: TspInstance, systems, from_city_1=False):
-    """_fold of restricted_dp over every system, drawn lazily: one _chain_dp
-    call per system that holds the empty and the full set."""
-    n = inst.n
-
-    def answers():
-        for f in systems:
-            if f.n != n:
-                raise ValueError(f"system over [{f.n}] vs instance with {n} cities")
-            yield from _orbit_answers(inst, f, [(None, None)])
-
-    return _fold(answers(), from_city_1)
 
 
 def _orbit_answers(inst: TspInstance, base: SetSystem, members):

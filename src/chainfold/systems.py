@@ -216,19 +216,19 @@ class SetSystem:
 
     def successors(self) -> dict:
         """mask -> tuple of (added element, next mask in F), ascending by
-        added element; cached."""
+        added element; cached.  Read off successor_index(), row by row in
+        its column order (column j is element j + 1); the next masks are
+        the level tuples' own ints."""
         if self._succ is None:
-            succ = {m: [] for m in self._mask_set}
-            for lv in self.levels[1:]:
-                for m in lv:
-                    rest = m
-                    while rest:
-                        b = rest & -rest
-                        prev = m ^ b
-                        if prev in self._mask_set:
-                            succ[prev].append((b.bit_length(), m))
-                        rest ^= b
-            self._succ = {m: tuple(v) for m, v in succ.items()}
+            succ = dict.fromkeys(self.levels[-1], ())
+            for lower, upper, idx in zip(self.levels, self.levels[1:], self.successor_index()):
+                hit = idx >= 0
+                rows, cols = np.nonzero(hit)  # row-major: by set, then by element
+                pairs = [(j + 1, upper[i]) for j, i in zip(cols.tolist(), idx[hit].tolist())]
+                ends = np.cumsum(np.bincount(rows, minlength=len(lower))).tolist()
+                for m, lo, hi in zip(lower, [0, *ends], ends):
+                    succ[m] = tuple(pairs[lo:hi])
+            self._succ = succ
         return self._succ
 
     def elements(self) -> dict:
@@ -251,8 +251,8 @@ class SetSystem:
         """Per level k < n, the read-only int32 array successor_index(
         level_arrays()[k], level_arrays()[k + 1], bits of 1..n): where in
         level k + 1 each set plus each element lies, -1 where F lacks it.
-        Built on first use and cached; chain DPs read it instead of
-        searching."""
+        Built on first use and cached; chain DPs and successors() read it
+        instead of searching."""
         if self._index is None:
             arrays = self.level_arrays()
             bits = _BITS[: self.n]

@@ -274,7 +274,8 @@ def corpus() -> list:
 
 def suite_lower_bound() -> SuiteResult:
     bad = []
-    for f in corpus():
+    checked = corpus()
+    for f in checked:
         c = systems.count_chains(f)
         size = len(f)
         for k in range(0, 7):
@@ -282,7 +283,7 @@ def suite_lower_bound() -> SuiteResult:
             bound = factorial(piece) ** (k + 1) * size**k
             if c > bound:
                 bad.append((repr(f), k))
-    lines = [f"{len(corpus())} systems x k in 0..6, C(F) within the chain bound: {not bad}"]
+    lines = [f"{len(checked)} systems x k in 0..6, C(F) within the chain bound: {not bad}"]
     lines += [f"violated: {b}" for b in bad[:5]]
     return SuiteResult("lower-bound", not bad, lines)
 

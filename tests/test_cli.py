@@ -132,6 +132,16 @@ def test_solve_gs_cap_violation_exits_3(capsys, tmp_path):
         assert code == 3 and out == ""
 
 
+def test_solve_restricted_ground_set_mismatch_exits_2(capsys, tmp_path, instance8):
+    sys_path = tmp_path / "p7.ss"
+    dump_system(powerset(7), sys_path)
+    argv = ["solve", "--alg", "restricted", "--instance", instance8, "--set-system", str(sys_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: system over [7] vs instance with 8 cities\n"
+
+
 def test_solve_restricted_infeasible_exits_1(capsys, tmp_path, instance8):
     from chainfold.systems import SetSystem
 

@@ -1,6 +1,6 @@
 """Solver equivalences, restriction monotonicity, and witness soundness."""
 
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 
 import numpy as np
@@ -394,13 +394,11 @@ def test_sampled_split_tour_is_rotated_to_city_1(n, first):
     # none of these 70 sampled splits supports the optimal cycle from city 1:
     # unrotated, the best system's tour starts at city `first`; the solver
     # answers with that cycle read from city 1, which is held_karp's witness
-    from chainfold import solver
-
     gen = SplitMix64(0)
     drawn = dict.fromkeys(gen.sample(n, n // 2) for _ in range(70))
     inst = random_instance(n, 0)
     systems = (split_prefix_system(n, chosen, 0.445) for chosen in drawn)
-    assert solver._restricted_sweeps(inst, systems).tour[0] == first
+    assert _sweeps(inst, systems).tour[0] == first
     sol = random_split_solver(inst, 0.445, 70, 0)
     ref = held_karp(inst)
     assert (sol.value, sol.tour) == (ref.value, ref.tour)
@@ -432,6 +430,16 @@ def _best_of(solutions):
     solutions = [sol for sol in solutions if sol is not None]
     value, tour = min((sol.value, sol.tour) for sol in solutions)
     return Solution(value, tour, max(sol.table_entries for sol in solutions))
+
+
+def _sweeps(inst, systems):
+    """The lowest (value, tour) over restricted_dp's answer streams on every
+    system, unrotated, with the largest table among them: one _chain_dp
+    call per system that holds the empty and the full set."""
+    from chainfold import solver
+
+    answers = (solver._orbit_answers(inst, f, [(None, None)]) for f in systems)
+    return solver._fold(chain.from_iterable(answers))
 
 
 def _from_city_1(sol):
@@ -477,7 +485,7 @@ def test_batched_solvers_match_one_restricted_dp_per_system(n, monkeypatch):
             "exhaustive": random_split_solver(inst, 0.445, comb(n, half), seed=0),
             "sampled": random_split_solver(inst, 0.3, comb(n, half) - 1, seed=3),
             "framework": framework_solver(inst, block_size, families),
-            "mixed": solver._restricted_sweeps(inst, mixed),
+            "mixed": _sweeps(inst, mixed),
         }
         assert got == expected
 
@@ -487,8 +495,6 @@ def test_batched_solvers_keep_the_largest_table_beside_the_best_tour():
     # bigger system that misses every rotation of that tour (it finds
     # another tour of the same value, larger from city 1) fills the largest
     # table, and the answer reports that table, whichever system comes first
-    from chainfold import solver
-
     n = 7
     inst = random_instance(n, 5)
     best = held_karp(inst)
@@ -502,7 +508,7 @@ def test_batched_solvers_keep_the_largest_table_beside_the_best_tour():
     expected = Solution(100, (1, 5, 6, 4, 3, 2, 7), 252)
     assert Solution(best.value, best.tour, from_big.table_entries) == expected
     for stream in ([small, big], [big, small]):
-        assert solver._restricted_sweeps(inst, stream) == expected
+        assert _sweeps(inst, stream) == expected
 
 
 def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
@@ -615,10 +621,8 @@ def test_unique_framework_reports_its_largest_table():
     assert sol == _best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples)
 
 
-def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
-    # the successor index is built on a system's first restricted_dp, one
-    # search per level below the top, and read by every later call; it and
-    # the level arrays are read-only, and a fresh, equal system answers alike
+def _index_searches(monkeypatch):
+    """The len(lower) of every systems.successor_index call from now on."""
     from chainfold import systems
 
     calls = []
@@ -629,6 +633,14 @@ def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
         return build(lower, upper, bits)
 
     monkeypatch.setattr(systems, "successor_index", counting)
+    return calls
+
+
+def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
+    # the successor index is built on a system's first restricted_dp, one
+    # search per level below the top, and read by every later call; it and
+    # the level arrays are read-only, and a fresh, equal system answers alike
+    calls = _index_searches(monkeypatch)
     f = core_prefix_system(9, 0.78, 0.45)
     first = [restricted_dp(random_instance(9, seed), f) for seed in range(4)]
     assert calls == [len(level) for level in f.levels[:-1]]
@@ -641,6 +653,24 @@ def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
     fresh = SetSystem(f.n, f.masks)
     assert [restricted_dp(random_instance(9, seed), fresh) for seed in range(4)] == first
     assert len(calls) == 2 * f.n
+
+
+def test_successors_and_restricted_dp_share_one_index(monkeypatch):
+    # successors() reads the successor index that restricted_dp sweeps: on a
+    # fresh system, the two together search each level below the top once
+    calls = _index_searches(monkeypatch)
+    f = core_prefix_system(9, 0.78, 0.45)
+    succ = f.successors()
+    assert calls == [len(level) for level in f.levels[:-1]]
+    restricted_dp(random_instance(9, 0), f)
+    assert len(calls) == f.n and f.successors() is succ
+
+
+def test_restricted_dp_refuses_a_system_over_another_ground_set():
+    inst = random_instance(7, 0)
+    for n in (6, 8):
+        with pytest.raises(ValueError, match=rf"^system over \[{n}\] vs instance with 7 cities$"):
+            restricted_dp(inst, powerset(n))
 
 
 def test_warmup_validation():

@@ -392,19 +392,64 @@ def test_relabel_preserves_metrics(f, data):
     assert metrics(g) == metrics(f)
 
 
+def _reference_successors(f):
+    """The successor map as a bit loop over each set's elements with one
+    membership probe per element, the oracle for successors(): mask ->
+    tuple of (added element, next mask), ascending by added element."""
+    ms = f.mask_set()
+    succ = {m: [] for m in ms}
+    for lv in f.levels[1:]:
+        for m in lv:
+            rest = m
+            while rest:
+                b = rest & -rest
+                if m ^ b in ms:
+                    succ[m ^ b].append((b.bit_length(), m))
+                rest ^= b
+    return {m: tuple(v) for m, v in succ.items()}
+
+
+def _assert_successors_match_reference(f):
+    got = f.successors()
+    assert got == _reference_successors(f)
+    assert got.keys() == f.mask_set()  # every mask is a key, top and sinks too
+    for m, steps in got.items():
+        elements = [v for v, _ in steps]
+        assert elements == sorted(set(elements))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(set_systems(), chained_systems()))
+def test_successor_map_matches_bit_loop_reference(f):
+    _assert_successors_match_reference(f)
+
+
+@pytest.mark.parametrize("f", [
+    SetSystem(4, []),  # empty
+    SetSystem(4, [0]),  # {∅} alone
+    SetSystem(0, []),
+    SetSystem(0, [0]),
+    SetSystem(3, [0b001, 0b011, 0b111, 0b101]),  # no ∅
+    closure_from_permutations(63, [range(1, 64), range(63, 0, -1), [*range(2, 64, 2), *range(1, 64, 2)]]),
+], ids=["empty", "empty-set-only", "n0-empty", "n0", "no-empty-set", "chains-63"])
+def test_successor_map_edge_cases(f):
+    _assert_successors_match_reference(f)
+
+
 @settings(max_examples=40)
 @given(set_systems())
 def test_successor_index_matches_successor_map(f):
     # entry [i, j] of level k is where set i plus element j + 1 lies in
-    # level k + 1, -1 where F lacks it, as the dict-based successor map says;
-    # the map lists each set's successors by ascending added element
+    # level k + 1, -1 where F lacks it, as the bit-loop reference says; the
+    # reference lists each set's successors by ascending added element
     arrays, index = f.level_arrays(), f.successor_index()
+    reference = _reference_successors(f)
     assert len(index) == f.n
     for k, (level, idx) in enumerate(zip(arrays, index)):
         assert idx.shape == (len(level), f.n) and idx.dtype == np.int32
         for i, s in enumerate(level.tolist()):
             got = {j + 1: int(arrays[k + 1][idx[i, j]]) for j in range(f.n) if idx[i, j] >= 0}
-            assert f.successors()[s] == tuple(got.items())
+            assert reference[s] == tuple(got.items())
 
 
 @pytest.mark.parametrize("n", (1, 8, 9, 16, 63))
