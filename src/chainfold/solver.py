@@ -27,16 +27,23 @@ the shared levels; a map from (problem, set) to row turns the shared index
 into each row's successors, so nothing is sorted or searched per problem.
 The gathered B(s | e, e) form a (rows x cities) table, and the level is the
 (min,+) product of that table with d, taken one next city e at a time in
-the problem's own labels.  A candidate d[c][e] + B(s | e, e) replaces the
-running minimum only when it is strictly smaller, so the stored choice
-(int8) is the smallest optimal next city, and following those choices from
-{first} yields the lexicographically smallest optimal witness.
+the problem's own labels.  Values are packed: the tables hold B << SHIFT,
+and a candidate is (d[c][e] + B(s | e, e)) << SHIFT | e, with SHIFT = 6
+bits for the column e < 64 (ground sets hold at most 63 cities).  Packed
+values order by value first and then by e, so a running minimum alone keeps
+both the cheapest value and, as e sits in the low bits, the smallest
+optimal next city on a tie.  Those bits are then split off into the int8
+choices, and following the choices from {first} yields the
+lexicographically smallest optimal witness.
 
 A missing successor reads SENTINEL = 3 * 2^61.  Instances keep
-n * max|w| < WEIGHT_BOUND = 2^62, so every chain value and every value plus
-one weight lies below 2^62 < SENTINEL - max|w|, and SENTINEL plus one weight
-stays below 2^63: the int64 fill never overflows and never picks a missing
-successor.  Only two levels of values are alive at a time, the
+n * max|w| < WEIGHT_BOUND = 2^56.  A chain value sums at most n weights, so
+every packed chain value lies strictly between -2^62 and 2^62.  A packed
+weight is below 2^61 in size, so SENTINEL plus one packed weight lies
+strictly between 2^62 and 2^63.  The int64 fill therefore never overflows,
+a live candidate always beats a missing one, and a row that read only
+SENTINEL ends above ALIVE = 2^62, whatever the signs of the weights, and is
+dropped.  Only two levels of values are alive at a time, the
 (rows x cities) temporaries are cut into CHUNK-cell pieces, and _chain_dp
 cuts any stream of problems into sweeps of about BATCH_ROWS rows.
 
@@ -101,8 +108,11 @@ from .systems import (
 
 HELD_KARP_CAP = 24
 BRUTE_CAP = 11
-WEIGHT_BOUND = 1 << 62  # n * max |weight| must stay below 2^63
-SENTINEL = 3 << 61  # a missing successor: see the module docstring
+WEIGHT_BOUND = 1 << 56  # n * max |weight| must stay below this: see the module docstring
+SHIFT = 6  # a packed value is B << SHIFT | e, e < 64 the next city's column
+LOW = (1 << SHIFT) - 1
+SENTINEL = 3 << 61  # a missing successor
+ALIVE = 1 << 62  # every packed chain value lies below, every dead candidate above
 BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
 CHUNK = 1 << 14  # cells of one (rows x cities) fill temporary
 # lattices of every subset of up to this many cities are cached: the largest
@@ -134,7 +144,7 @@ class TspInstance:
             worst = max(worst, max(abs(int(w)) for w in r))
             padded.append((0,) + tuple(int(w) for w in r))
         if n * worst >= WEIGHT_BOUND:
-            raise ValueError("worst-case tour sum overflows 64-bit range")
+            raise ValueError(f"n * max|weight| must stay below 2^{WEIGHT_BOUND.bit_length() - 1}")
         return TspInstance(n, tuple(padded))
 
     def tour_value(self, tour) -> int:
@@ -337,16 +347,20 @@ def _sweep(d, lat, problems):
     searched.  Table columns are the cities of top after sigma, so a row's
     values table[s][c] are the cheapest completions from prefix-set sigma(s)
     ending at city c.  Levels are filled from |top| down to 1.  pos maps
-    each (problem, set) of a level to its row, -1 when it has none, so a
-    row's successors s | e in the level above are a gather of the lattice's
-    index, at column sigma^-1(e), through pos: CHUNK // |top| rows at a
-    time.  They give nxt[r][e] = B(s | e, e), read from a SENTINEL row
-    where s | e has no row; a row with no successor is dropped, as no chain
-    through it reaches top.  The row's values are the (min,+) product min_e
-    d[c][e] + nxt[r][e], folded in one next city e at a time; a candidate
-    wins only when strictly smaller, so the stored choice is the smallest
-    optimal next city in the problem's own labels, and following the
-    choices from {first} gives the lexicographically smallest optimal order.
+    each (problem, set) of a level to row * |top|, the flat place of its
+    row's first cell, and to -|top| when it has none, so a row's successors
+    s | e in the level above are a gather of the lattice's index, at column
+    sigma^-1(e), through pos: CHUNK // |top| rows at a time.  Adding e gives
+    the flat place of nxt[r][e] = B(s | e, e), in the last, SENTINEL row
+    where s | e has no row.  The row's values are the (min,+) product min_e
+    d[c][e] + nxt[r][e] on packed values (see the module docstring), folded
+    in one next city e at a time by one add and one minimum; a tie keeps
+    the smaller city, whose column sits in the low bits.  Those bits become
+    the int8 choices, so the stored choice is the smallest optimal next
+    city in the problem's own labels, and following the choices from
+    {first} gives the lexicographically smallest optimal order.  A row with
+    no successor read only SENTINEL, so its values stay above ALIVE, and
+    it is dropped, as no chain through it reaches top.
     Returns one (value, order, entries) per problem: order lists the cities
     of top from first, value and order are None when no chain reaches top,
     and entries counts the table's cells.
@@ -368,11 +382,12 @@ def _sweep(d, lat, problems):
         for p, problem in enumerate(problems):
             if problem[3] is not None:
                 keep[p] = problem[3]
-    steps = np.ascontiguousarray(dist[cities][:, cities].T)  # steps[e][c] = d[c][e]
+    # steps[e][c] = d[c][e] << SHIFT | e, so a candidate carries its next city
+    steps = np.ascontiguousarray(dist[cities][:, cities].T << SHIFT | every[:, None])
     # level m is top alone, one row per problem; pos column 0 is "no row"
-    pos = np.stack((np.full(count, -1), np.arange(count)), axis=1)
+    pos = np.stack((np.full(count, -m), np.arange(count) * m), axis=1)
     up_vals = np.full((count + 1, m), SENTINEL, dtype=np.int64)  # last: SENTINEL row
-    up_vals[:count] = dist[cities][:, [p[1] for p in problems]].T
+    up_vals[:count] = dist[cities][:, [p[1] for p in problems]].T << SHIFT
     entries = np.full(count, m, dtype=np.int64)
     pos_at, choices_at = [None] * (m + 1), [None] * m
     span = max(1, CHUNK // m)
@@ -387,8 +402,7 @@ def _sweep(d, lat, problems):
             rp = ri = np.zeros(0, dtype=np.int64)
         rows = len(rp)
         vals = np.empty((rows + 1, m), dtype=np.int64)
-        choices = np.zeros((rows, m), dtype=np.int8)
-        alive = np.empty(rows, dtype=bool)
+        choices = np.empty((rows, m), dtype=np.int8)
         stride, pos_flat = pos.shape[1], pos.ravel()
         for lo in range(0, rows, span):
             rp_c, ri_c = rp[lo:lo + span], ri[lo:lo + span]
@@ -399,50 +413,48 @@ def _sweep(d, lat, problems):
             else:  # flat takes: fancy 2-d indexing costs about twice as much
                 succ = index[k].ravel().take(ri_c[:, None] * m + inv[rp_c])
             up = pos_flat.take((rp_c * stride + 1)[:, None] + succ)
-            found = up >= 0
-            up *= m
             up += every
-            nxt = up_vals.ravel().take(up)  # nxt[r, e] = B(s | e, e); row -1 is SENTINEL
-            alive[lo:lo + len(up)] = found.any(axis=1)
+            nxt = up_vals.ravel().take(up)  # nxt[r, e] = B(s | e, e), or SENTINEL
             v, ch = vals[lo:lo + len(up)], choices[lo:lo + len(up)]
-            # up and found are spent: they hold each next city's candidates
-            # and the cells those improve, so the chunk allocates nothing more
-            cand, better = up, found
+            cand = up  # spent: it holds each next city's candidates
             np.add(nxt[:, :1], steps[0], out=v)
             for e in range(1, m):
                 np.add(nxt[:, e:e + 1], steps[e], out=cand)
-                np.less(cand, v, out=better)  # strict: a tie keeps the smaller city
-                np.putmask(ch, better, e)
-                np.minimum(v, cand, out=v)
-            del succ, up, found, nxt, cand, better  # freed before the next chunk allocates
+                np.minimum(v, cand, out=v)  # a tie keeps the smaller city
+            np.bitwise_and(v, LOW, out=cand)
+            ch[...] = cand
+            v -= cand
+            del succ, up, nxt, cand  # freed before the next chunk allocates
         up_vals = None  # read in full: free it before this level is compacted
+        alive = vals[:rows, 0] < ALIVE  # a row with no successor read only SENTINEL
         if not alive.all():
             kept = np.flatnonzero(alive)
             rp, ri, choices = rp[kept], ri[kept], choices[kept]
             vals = vals[np.append(kept, rows)]
         vals[-1] = SENTINEL
-        pos = np.full((count, len(level) + 1), -1, dtype=np.int64)
-        pos[rp, ri + 1] = np.arange(len(rp))
+        pos = np.full((count, len(level) + 1), -m, dtype=np.int64)
+        pos[rp, ri + 1] = np.arange(0, len(rp) * m, m)
         up_vals = vals
         pos_at[k], choices_at[k] = pos, choices
         entries += np.bincount(rp, minlength=count) * k
-    # up_vals holds level 1 now; walk from each {first} found there
+    # up_vals holds level 1 now; walk from each {first} found there, reading
+    # a row's cell (row, col) at flat place pos + col
     key = fbits
-    row = np.full(count, -1)
+    at = np.full(count, -1)
     if len(levels[1]):
         i = np.minimum(np.searchsorted(levels[1], key), len(levels[1]) - 1)
-        row = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], -1)
-    solved = np.flatnonzero(row >= 0)
-    row, key, col = row[solved], key[solved], firsts[solved]
-    values = up_vals[row, col]
+        at = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], -1)
+    solved = np.flatnonzero(at >= 0)
+    at, key, col = at[solved], key[solved], firsts[solved]
+    values = up_vals.ravel()[at + col] >> SHIFT
     order = np.empty((len(solved), m), dtype=np.int64)
     order[:, 0] = cities[col]
     for k in range(1, m):
-        col = choices_at[k][row, col]
+        col = choices_at[k].ravel()[at + col]
         order[:, k] = cities[col]
         if k + 1 < m:
             key = key | bits[col if inv is None else inv[solved, col]]
-            row = pos_at[k + 1][solved, np.searchsorted(levels[k + 1], key) + 1]
+            at = pos_at[k + 1][solved, np.searchsorted(levels[k + 1], key) + 1]
     out = [(None, None, e) for e in entries.tolist()]
     for p, value, tour in zip(solved.tolist(), values.tolist(), order.tolist()):
         out[p] = value, tuple(tour), out[p][2]

@@ -10,7 +10,8 @@ import pytest
 from chainfold.cli import main
 from chainfold.constructions import powerset
 from chainfold.cover import load_family
-from chainfold.solver import brute_force, dump_instance, random_instance
+from chainfold.rng import SplitMix64
+from chainfold.solver import WEIGHT_BOUND, TspInstance, brute_force, dump_instance, random_instance
 from chainfold.systems import dump_system
 
 
@@ -84,6 +85,31 @@ def test_paths_through_a_regular_file_exit_2(capsys, instance8):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def test_solve_at_the_weight_bound(capsys, tmp_path):
+    # n * max|w| = WEIGHT_BOUND is refused as a bad file; one below it, with
+    # tied signed weights, solves to the brute-force value and tour
+    n = 8
+    path = tmp_path / "bound.tsp"
+    path.write_text(f"n {n}\n" + "".join(
+        " ".join("0" if i == j else str(WEIGHT_BOUND // n) for j in range(n)) + "\n"
+        for i in range(n)
+    ))
+    code = main(["solve", "--alg", "bhk", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: n * max|weight| must stay below 2^56\n"
+    big = WEIGHT_BOUND // n - 1
+    gen = SplitMix64(n)
+    weights = (big, -big, big - 1)
+    inst = TspInstance.from_rows([[weights[gen.randbelow(3)] for _ in range(n)] for _ in range(n)])
+    dump_instance(inst, path)
+    ref = brute_force(inst)
+    expected = [f"value {ref.value}", "tour " + " ".join(map(str, ref.tour))]
+    for alg in ("brute", "bhk", "warmup"):  # 70 trials: every split of 8 cities
+        code, out = run_cli(capsys, "solve", "--alg", alg, "--instance", str(path), "--trials", "70")
+        assert code == 0 and out.splitlines()[1:3] == expected
 
 
 def test_solve_framework_block_size(capsys, tmp_path):

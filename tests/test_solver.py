@@ -273,13 +273,51 @@ def test_restricted_on_wide_ground_sets():
         assert (sol.value, sol.tour) == min((inst.tour_value(p), p) for p in supported(f))
 
 
+def test_restricted_ties_between_cities_past_32():
+    # tours run 1..30 and then any order of 31..36, with weights 1 or 2, so
+    # the last six steps tie and the stored choices reach columns 30..35:
+    # every one must survive in the low bits beside its value
+    n, head = 36, 30
+    gen = SplitMix64(36)
+    inst = TspInstance.from_rows([[1 + gen.randbelow(2) for _ in range(n)] for _ in range(n)])
+    chain = [(1 << k) - 1 for k in range(head + 1)]
+    f = SetSystem(n, chain + [chain[-1] | t << head for t in range(1 << (n - head))])
+    head_tour = tuple(range(1, head + 1))
+    expected = min(
+        (inst.tour_value(head_tour + p), head_tour + p)
+        for p in permutations(range(head + 1, n + 1))
+    )
+    sol = restricted_dp(inst, f)
+    assert (sol.value, sol.tour) == expected
+    assert sol.table_entries == sum(range(1, head)) + sum(
+        comb(n - head, j) * (head + j) for j in range(n - head + 1)
+    )
+
+
+@pytest.mark.parametrize("low, high", [(-9, -1), (1, 9)])
+def test_restricted_drops_sets_with_no_successor(low, high):
+    # {1, 2} and {1, 2, 5} lie on no chain to the top, so the rows of first
+    # city 2 all die and first city 1 keeps one row a level.  With negative
+    # weights a dead row's value, SENTINEL plus weights, falls below
+    # SENTINEL, and must still be dropped rather than counted or walked
+    n = 5
+    inst = _instance(n, 5, low, high)
+    live = set(prefix_chain((1, 3, 4, 2, 5)))
+    dead = {mask_of({2}), mask_of({1, 2}), mask_of({1, 2, 5})}
+    sol = restricted_dp(inst, SetSystem(n, live | dead))
+    assert (sol.value, sol.tour) == (inst.tour_value((1, 3, 4, 2, 5)), (1, 3, 4, 2, 5))
+    assert sol.table_entries == 5 + 4 + 3 + 2 + 1
+    assert restricted_dp(inst, SetSystem(n, dead | {0, (1 << n) - 1, mask_of({1, 2, 3, 4})})) is None
+
+
 @pytest.mark.parametrize("signs", ["mixed", "positive"])
 @pytest.mark.parametrize("n", range(4, 8))
 def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
     # |w| just under WEIGHT_BOUND // n and two values, so tours tie.  Mixed
-    # signs cancel, positive ones push chain values close to 2^62: a sentinel
-    # that does not stay above every chain value, or a sum that wraps around
-    # int64, changes a value or a witness
+    # signs cancel, positive ones push packed chain values, shifted left by
+    # SHIFT bits, close to 2^62: a sentinel that does not stay above every
+    # chain value, or a sum that wraps around int64, changes a value or a
+    # witness
     big = WEIGHT_BOUND // n - 1
     weights = (big, -big) if signs == "mixed" else (big, big - 1)
     gen = SplitMix64(70 + n)
