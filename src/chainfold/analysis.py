@@ -36,6 +36,7 @@ finite-n gaps are reported separately by the finite-size helpers.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .systems import SetSystem, metrics
@@ -97,22 +98,40 @@ def _core_range(a, b):
     return 0 < a <= 1 and a / 2 <= b <= a
 
 
-def banded_bounds(p: BoundParams) -> tuple[float, float]:
-    """(lg S, lg P) for the banded-prefix family."""
-    a, b, g = p.alpha, p.beta, p.gamma
-    if not _banded_range(a, b, g):
-        raise ValueError(f"parameters out of range: {p}")
-    lg_s = max(a, (entropy(2 * b) + entropy(1 - 2 * g)) / 2)
+# The lg S and lg P formulas of each family at a point of its range; h is
+# entropy or a memo of it.
+def _banded_lg_s(a, b, g, h=entropy):
+    return max(a, (h(2 * b) + h(1 - 2 * g)) / 2)
+
+
+def _banded_lg_p(a, b, g, h=entropy):
     width = 0.5 - b
     if width <= 0:
         bracket = 0.0
     else:
         bracket = width * (
-            entropy((g - b) / width)
-            + entropy((0.5 - g) / width)
-            + 2 * entropy((a - b) / width)
+            h((g - b) / width)
+            + h((0.5 - g) / width)
+            + 2 * h((a - b) / width)
         )
-    return lg_s, 1 + entropy(2 * a) - bracket
+    return 1 + h(2 * a) - bracket
+
+
+def _core_lg_s(a, b, h=entropy):
+    return max(a, (1 - a) + a * h(b / a))
+
+
+def _core_lg_p(a, b, h=entropy):
+    width = 1 - b
+    return h(a) - (width * h((a - b) / width) if width > 0 else 0.0)
+
+
+def banded_bounds(p: BoundParams) -> tuple[float, float]:
+    """(lg S, lg P) for the banded-prefix family."""
+    a, b, g = p.alpha, p.beta, p.gamma
+    if not _banded_range(a, b, g):
+        raise ValueError(f"parameters out of range: {p}")
+    return _banded_lg_s(a, b, g), _banded_lg_p(a, b, g)
 
 
 def core_bounds(p: BoundParams) -> tuple[float, float]:
@@ -120,17 +139,15 @@ def core_bounds(p: BoundParams) -> tuple[float, float]:
     a, b = p.alpha, p.beta
     if not _core_range(a, b):
         raise ValueError(f"parameters out of range: {p}")
-    lg_s = max(a, (1 - a) + a * entropy(b / a))
-    width = 1 - b
-    lg_p = entropy(a) - (width * entropy((a - b) / width) if width > 0 else 0.0)
-    return lg_s, lg_p
+    return _core_lg_s(a, b), _core_lg_p(a, b)
 
 
-# each bound family by its CLI token: its bounds, its parameter range, and
-# the box optimize_params searches, one (lo, hi) per alpha, beta[, gamma]
+# each bound family by its CLI token: its bounds, its parameter range, its
+# lg S and lg P on a point of that range, and the box optimize_params
+# searches, one (lo, hi) per alpha, beta[, gamma]
 _FAMILIES = {
-    41: (banded_bounds, _banded_range, ((0.25, 0.5),) * 3),
-    45: (core_bounds, _core_range, ((1e-6, 1.0),) * 2),
+    41: (banded_bounds, _banded_range, _banded_lg_s, _banded_lg_p, ((0.25, 0.5),) * 3),
+    45: (core_bounds, _core_range, _core_lg_s, _core_lg_p, ((1e-6, 1.0),) * 2),
 }
 
 
@@ -159,18 +176,23 @@ def density_lower_bound(s: float) -> float:
 
 
 def optimal_lower_k(s: float) -> tuple[int, float]:
-    """(argmax k, value) of the chain-counting lower bound at space base s."""
+    """(argmax k, value) of the chain-counting lower bound at space base s.
+
+    v(k+1)/v(k) = (k+2)/((k+1) s) falls as k grows, so v(k) = (k+1)/s^k
+    rises to one peak and falls after it.  The peak is the least k with
+    (k+1)(s-1) >= 1, which lies within half a step below 1/ln s - 1.  The
+    first k of largest v is taken among k = 0 and the seven k from
+    max(1, floor(1/ln s) - 3) on, a window around that peak.
+    """
     if not 1 < s <= 2:
         raise ValueError(f"space base {s} outside (1, 2]")
     best_k, best = 0, 1.0
-    k = 1
-    while True:
+    low = max(1, math.floor(1 / math.log(s)) - 3)
+    for k in range(low, low + 7):
         v = (k + 1) / s**k
         if v > best:
             best_k, best = k, v
-        elif k > 2 / (s - 1) + 2:  # safely past the peak (k+2)/(k+1) <= s
-            return best_k, best
-        k += 1
+    return best_k, best
 
 
 def interpolate(s1: float, p1: float, s2: float, p2: float, mu: float):
@@ -219,11 +241,15 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
 
     Deterministic: a fixed coarse grid scanned in a fixed order (first best
     wins ties), then locally refined; grid is the coarse step, floored at
-    1e-4 by contract.
+    1e-4 by contract.  Each point in range is tested on lg S alone, and lg P
+    is computed only where lg S <= target + 1e-12 holds, so the scan order
+    and the points compared are those of evaluating both at every point.
     """
     if grid < 1e-4:
         raise ValueError("grid resolution below the 1e-4 floor")
-    evaluate, valid, axes = _family(theorem)
+    _, valid, lg_s_of, lg_p_of, axes = _family(theorem)
+    limit = target_lg_s + 1e-12
+    h = cache(entropy)  # entropy is pure: equal arguments, equal values
 
     def scan(centers, step):
         best = None
@@ -237,14 +263,9 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
                     [min(max(c + i * step, lo), hi) for i in range(-3, 4)]
                 )
         for coords in product(*ranges):
-            if not valid(*coords):  # cheaper than the ValueError evaluate raises
+            if not valid(*coords) or lg_s_of(*coords, h=h) > limit:
                 continue
-            try:
-                lg_s, lg_p = evaluate(BoundParams(*coords))
-            except ValueError:
-                continue
-            if lg_s > target_lg_s + 1e-12:
-                continue
+            lg_p = lg_p_of(*coords, h=h)
             if best is None or lg_p < best[0] - 1e-15:
                 best = (lg_p, coords)
         return best

@@ -199,6 +199,12 @@ def cmd_verify(args) -> int:
         for line in result.lines:
             print(f"  {line}")
         print(f"  elapsed {result.elapsed:.1f}s", file=sys.stderr)
+        if result.gate:
+            what, seconds, limit = result.gate
+            print(
+                f"  gate {what} {seconds:.3f}s of {limit:g}s ({seconds / limit:.1%})",
+                file=sys.stderr,
+            )
         if not result.passed:
             failed += 1
     print(f"suites {len(names)} failed {failed}")

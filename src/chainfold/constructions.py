@@ -5,6 +5,12 @@ is generated by systems.relabel.  Fractional parameters are floored to
 integer counts and validated after flooring, so every builder is a pure
 function of integers.
 
+tower_of_cubes and core_prefix_system build their masks as int64 arrays,
+in ascending order, from submask arrays of the ground set's blocks; a stable
+sort by popcount splits them into levels, which go to SetSystem._of_levels
+without a per-mask Python loop.  No temporary spans the 2^n subsets of the
+ground set: the largest arrays are the size of the output.
+
 The two parametric families:
 
 * banded_prefix_system(n, alpha, beta, gamma) -- minimal system supporting
@@ -41,7 +47,9 @@ whole predicate exhaustively at small n.
 import math
 from itertools import combinations
 
-from .systems import GROUND_CAP, CapError, SetSystem, mask_of, submasks
+import numpy as np
+
+from .systems import GROUND_CAP, CapError, SetSystem, mask_of, split_levels, submasks
 
 TOWER_LEVEL_CAP = 28  # per-level 2^t enumeration
 
@@ -64,7 +72,9 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
     """Order ideals of k stacked antichains of size t (a height-k bucket
     order): full blocks 1..j-1 plus any subset of block j.
 
-    |F| = k*2^t - k + 1 and C(F) = (t!)^k.
+    |F| = k*2^t - k + 1 and C(F) = (t!)^k.  Built as one int64 array:
+    the 2^t subsets of block 1, then for each later block j the full blocks
+    below it or-ed with each nonempty subset of block j.
     """
     if t < 1 or k < 1:
         raise ValueError("tower_of_cubes needs t, k >= 1")
@@ -73,12 +83,11 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
     n = t * k
     if n > GROUND_CAP:
         raise CapError(f"ground set {n} exceeds cap {GROUND_CAP}")
-    masks = set()
-    for j in range(k):
-        base = (1 << (j * t)) - 1
-        for sub in range(1 << t):
-            masks.add(base | (sub << (j * t)))
-    return SetSystem(n, masks)
+    subs = np.arange(1 << t, dtype=np.int64)
+    # block j adds base | sub << j*t with sub > 0 (sub = 0 is block j-1's
+    # full set); the blocks ascend one after another, so the masks do too
+    parts = [subs] + [((1 << (j * t)) - 1) | subs[1:] << (j * t) for j in range(1, k)]
+    return SetSystem._of_levels(n, split_levels(np.concatenate(parts), n))
 
 
 def koivisto_parviainen() -> SetSystem:
@@ -217,7 +226,11 @@ def banded_permutation_predicate(n: int, alpha: float, beta: float, gamma: float
 
 def core_prefix_system(n: int, alpha: float, beta: float) -> SetSystem:
     """Minimal system supporting all permutations whose first floor(beta*n)
-    entries lie in the core L = [1..floor(alpha*n)]."""
+    entries lie in the core L = [1..floor(alpha*n)].
+
+    Built as one int64 array from submasks(L) and submasks of the rest: the
+    subsets of L, then each nonempty subset of the rest or-ed with each
+    subset of L of at least floor(beta*n) elements."""
     if n < 1:
         raise ValueError("core_prefix_system needs n >= 1")
     an, bn = _floored(n, alpha), _floored(n, beta)
@@ -226,12 +239,14 @@ def core_prefix_system(n: int, alpha: float, beta: float) -> SetSystem:
     if n > TOWER_LEVEL_CAP:
         raise CapError(f"n={n} exceeds enumeration cap {TOWER_LEVEL_CAP}")
     core = (1 << an) - 1
-    masks = [
-        m
-        for m in range(1 << n)
-        if (m & ~core == 0 and m.bit_count() <= bn) or (m & core).bit_count() >= bn
-    ]
-    return SetSystem(n, masks)
+    lows = submasks(core)
+    highs = submasks(((1 << n) - 1) ^ core)
+    # the rest's bits lie above the core's, so the core's own subsets (rest
+    # part empty) and then, row by row, each nonempty rest submask or-ed
+    # with the core submasks of at least bn elements ascend
+    cut = lows[np.bitwise_count(lows) >= bn]
+    masks = np.concatenate((lows, (highs[1:, None] | cut).ravel()))
+    return SetSystem._of_levels(n, split_levels(masks, n))
 
 
 _TOKENS = {

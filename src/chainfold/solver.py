@@ -101,6 +101,7 @@ from .systems import (
     SetSystem,
     image_masks,
     read_int_headers,
+    split_levels,
     submasks,
     successor_index,
     union_product,
@@ -303,11 +304,7 @@ class _Lattice:
             return _Lattice(cities, *_powerset_lattice(m))
         full = (1 << m) - 1
         masks = submasks(full) if first is None else _submasks(full, cities.index(first) + 1)
-        level = np.bitwise_count(masks)
-        # masks ascend, so a stable sort by level keeps each level ascending
-        masks = masks[np.argsort(level, kind="stable")]
-        counts = np.bincount(level, minlength=m + 1)
-        return _Lattice(cities, np.split(masks, np.cumsum(counts[:-1])))
+        return _Lattice(cities, split_levels(masks, m))
 
 
 @cache

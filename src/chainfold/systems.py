@@ -108,6 +108,15 @@ def submasks(mask: int) -> np.ndarray:
     return subs
 
 
+def split_levels(masks, n: int) -> list:
+    """The ascending int64 masks within [n] as n + 1 arrays, one per
+    popcount: a stable sort by popcount keeps each level ascending."""
+    level = np.bitwise_count(masks)
+    masks = masks[np.argsort(level, kind="stable")]
+    counts = np.bincount(level, minlength=n + 1)
+    return np.split(masks, np.cumsum(counts[:-1]))
+
+
 def successor_index(lower, upper, bits) -> np.ndarray:
     """idx[i, j] = position of lower[i] | bits[j] in the ascending int64
     array upper, or -1 where upper lacks it, as int32.  With upper one

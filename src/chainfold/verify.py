@@ -41,6 +41,9 @@ class SuiteResult:
     passed: bool
     lines: list = field(default_factory=list)
     elapsed: float = 0.0
+    # (what is timed, its seconds, its limit in seconds) of a suite whose
+    # pass needs a time gate; the seconds go to stderr, never to the lines
+    gate: tuple | None = None
 
 
 def _random_system(n: int, gen: SplitMix64) -> systems.SetSystem:
@@ -63,8 +66,9 @@ def suite_kp() -> SuiteResult:
     lines.append(f"S = {m.size_s:.6f} in [1.4523, 1.4525]: {ok_s}")
     lines.append(f"P = {m.density_p:.6f} in [1.8615, 1.8618]: {ok_p}")
     lines.append(f"S^2 P = {m.product_st:.6f} in [3.925, 3.931]: {ok_st}")
-    lines.append(f"metrics in {elapsed:.3f}s (< 1s): {ok_time}")
-    return SuiteResult("kp", ok_size and ok_s and ok_p and ok_st and ok_time, lines)
+    lines.append(f"metrics in < 1s: {ok_time}")
+    passed = ok_size and ok_s and ok_p and ok_st and ok_time
+    return SuiteResult("kp", passed, lines, gate=("metrics", elapsed, 1.0))
 
 
 def suite_cor42() -> SuiteResult:
@@ -186,11 +190,12 @@ def suite_solvers() -> SuiteResult:
     elapsed = time.time() - t0
     lines = [
         f"{checked} instances across n in 4..10, all solvers agree: {not failures}",
-        f"elapsed {elapsed:.1f}s (< 120s): {elapsed < 120}",
+        f"elapsed < 120s: {elapsed < 120}",
     ]
     for f in failures[:5]:
         lines.append(f"mismatch: {f}")
-    return SuiteResult("solvers", not failures and elapsed < 120, lines)
+    passed = not failures and elapsed < 120
+    return SuiteResult("solvers", passed, lines, gate=("elapsed", elapsed, 120.0))
 
 
 def suite_lemma37() -> SuiteResult:

@@ -1,6 +1,8 @@
 """Bound formulas, parameter search, boosting, and the tradeoff curve."""
 
 import math
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from chainfold.analysis import (
     SQRT2_PARAMS,
     BoundParams,
     TradeoffPoint,
+    _banded_range,
+    _core_range,
     banded_bounds,
     boost,
     bounds_for,
@@ -163,6 +167,35 @@ def test_lower_bound_optimal_k_bracket():
         assert s <= (k + 1) / max(k, 1) + 1e-12
 
 
+def lower_k_reference(s):
+    """optimal_lower_k by walking k up from 1 until safely past the peak."""
+    best_k, best = 0, 1.0
+    k = 1
+    while True:
+        v = (k + 1) / s**k
+        if v > best:
+            best_k, best = k, v
+        elif k > 2 / (s - 1) + 2:  # safely past the peak (k+2)/(k+1) <= s
+            return best_k, best
+        k += 1
+
+
+@pytest.mark.parametrize("grid", [64, 512, 2048])
+def test_lower_k_window_matches_the_full_walk(grid):
+    for i in range(1, grid + 1):
+        s = 2 ** (i / grid)
+        assert optimal_lower_k(s) == lower_k_reference(s), s
+
+
+def test_lower_k_close_to_one():
+    s = 1 + 1e-9
+    start = time.perf_counter()
+    k, best = optimal_lower_k(s)
+    assert time.perf_counter() - start < 1.0
+    assert best == (k + 1) / s**k
+    assert best >= k / s ** (k - 1) and best >= (k + 2) / s ** (k + 1)
+
+
 def test_lower_bound_domain():
     with pytest.raises(ValueError):
         density_lower_bound(1.0)
@@ -250,6 +283,82 @@ def test_optimizer_full_space_is_free():
     params = optimize_params(1.0, 45)
     lg_s, lg_p = core_bounds(params)
     assert lg_s <= 1.0 and abs(lg_p) <= 1e-9
+
+
+def optimize_reference(target_lg_s, theorem, grid=0.005):
+    """optimize_params evaluating lg S and lg P through bounds_for at every
+    point of the scan."""
+    if grid < 1e-4:
+        raise ValueError("grid resolution below the 1e-4 floor")
+    if theorem == 41:
+        valid, axes = _banded_range, ((0.25, 0.5),) * 3
+    elif theorem == 45:
+        valid, axes = _core_range, ((1e-6, 1.0),) * 2
+    else:
+        raise ValueError(f"unknown bound family {theorem}; expected 41 or 45")
+
+    def scan(centers, step):
+        best = None
+        ranges = []
+        for (lo, hi), c in zip(axes, centers):
+            if c is None:
+                n_steps = int((hi - lo) / step)
+                ranges.append([lo + i * step for i in range(n_steps + 1)] + [hi])
+            else:
+                ranges.append([min(max(c + i * step, lo), hi) for i in range(-3, 4)])
+        for coords in product(*ranges):
+            if not valid(*coords):
+                continue
+            try:
+                lg_s, lg_p = bounds_for(theorem, BoundParams(*coords))
+            except ValueError:
+                continue
+            if lg_s > target_lg_s + 1e-12:
+                continue
+            if best is None or lg_p < best[0] - 1e-15:
+                best = (lg_p, coords)
+        return best
+
+    best = scan([None] * len(axes), grid)
+    if best is None:
+        raise ValueError(f"no feasible parameters with lg S <= {target_lg_s}")
+    step = grid
+    for _ in range(10):
+        step /= 4
+        refined = scan(best[1], step)
+        if refined is not None and refined[0] < best[0]:
+            best = refined
+    return BoundParams(*best[1])
+
+
+@pytest.mark.parametrize(
+    "target,theorem,grid",
+    [
+        (0.5, 41, 0.01),  # the benchmark's Corollary 4.2 call
+        (math.log2(1.7916), 45, 0.005),  # the benchmark's Theorem 4.5 call
+        (math.log2(1.7913), 45, 0.002),  # verify's cor47 call
+        (0.46, 41, 0.02),
+        (0.48, 41, 0.05),
+        (0.3, 41, 0.02),  # below the family's least lg S: infeasible
+        (1.0, 41, 0.05),
+        (0.7, 45, 0.01),
+        (0.9, 45, 0.02),
+        (1.0, 45, 0.05),
+        (0.1, 45, 0.01),  # infeasible
+        (0.5, 45, 1e-5),  # below the grid floor
+        (0.5, 44, 0.01),  # no such family
+    ],
+)
+def test_optimizer_matches_the_full_scan(target, theorem, grid):
+    try:
+        want = optimize_reference(target, theorem, grid)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            optimize_params(target, theorem, grid)
+        assert str(got.value) == str(exc)
+        return
+    got = optimize_params(target, theorem, grid)
+    assert (got.alpha, got.beta, got.gamma) == (want.alpha, want.beta, want.gamma)
 
 
 def test_optimizer_infeasible_target():

@@ -451,6 +451,28 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert out.splitlines()[0] == "FAIL cor42"
 
 
+def test_verify_timings_go_to_stderr(capsys, monkeypatch):
+    import types
+
+    import chainfold.verify as verify
+
+    # a clock whose steps grow, so every timed interval differs from the last
+    ticks = iter(range(1000))
+    clock = types.SimpleNamespace(time=lambda: next(ticks) ** 2 / 1000)
+    monkeypatch.setattr(verify, "time", clock)
+    runs = []
+    for _ in range(2):
+        code = main(["verify", "--suite", "kp"])
+        runs.append((code, *capsys.readouterr()))
+    (code1, out1, err1), (code2, out2, err2) = runs
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "  metrics in < 1s: True" in out1.splitlines()
+    assert err1 != err2
+    for err in (err1, err2):
+        assert "gate metrics" in err and "of 1s (" in err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _ = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2

@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from chainfold.analysis import SQRT2_PARAMS
 from chainfold.constructions import (
+    TOWER_LEVEL_CAP,
+    _TOKENS,
     banded_permutation_predicate,
     banded_prefix_system,
     core_prefix_system,
@@ -22,7 +25,9 @@ from chainfold.constructions import (
 from chainfold.rng import SplitMix64
 from chainfold.solver import split_prefix_system
 from chainfold.systems import (
+    GROUND_CAP,
     CapError,
+    SetSystem,
     closure_from_permutations,
     count_chains,
     metrics,
@@ -74,6 +79,46 @@ def test_tower_caps():
         tower_of_cubes(29, 1)
     with pytest.raises(CapError):
         tower_of_cubes(8, 8)
+
+
+def tower_reference(t, k):
+    """tower_of_cubes as one set of masks, one mask at a time."""
+    if t < 1 or k < 1:
+        raise ValueError("tower_of_cubes needs t, k >= 1")
+    if t > TOWER_LEVEL_CAP:
+        raise CapError(f"antichain size {t} exceeds per-level cap {TOWER_LEVEL_CAP}")
+    n = t * k
+    if n > GROUND_CAP:
+        raise CapError(f"ground set {n} exceeds cap {GROUND_CAP}")
+    masks = set()
+    for j in range(k):
+        base = (1 << (j * t)) - 1
+        for sub in range(1 << t):
+            masks.add(base | (sub << (j * t)))
+    return SetSystem(n, masks)
+
+
+def same_outcome(build, reference, *args):
+    """build and reference give systems with equal levels, or raise the same
+    error type with the same message."""
+    try:
+        want = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            build(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = build(*args)
+    assert got.n == want.n and got.levels == want.levels and got == want
+
+
+@pytest.mark.parametrize(
+    "t,k",
+    [(t, k) for t in range(0, 8) for k in range(0, 5)]
+    + [(13, 2), (10, 3), (3, 21), (1, 63), (1, 64), (2, 31), (2, 32), (29, 1), (8, 8), (16, 3)],
+)
+def test_tower_matches_reference(t, k):
+    same_outcome(tower_of_cubes, tower_reference, t, k)
 
 
 # --- koivisto-parviainen point ------------------------------------------------
@@ -264,6 +309,48 @@ def test_core_validation():
         core_prefix_system(6, 0.5, 0.1)  # beta below alpha/2
 
 
+def core_reference(n, alpha, beta):
+    """core_prefix_system by testing every subset of [n] one at a time."""
+    if n < 1:
+        raise ValueError("core_prefix_system needs n >= 1")
+    an, bn = int(alpha * n + 1e-9), int(beta * n + 1e-9)
+    if not (0 < an <= n and 0 <= bn <= an and 2 * bn >= an):
+        raise ValueError(f"invalid floored counts an={an} bn={bn} for n={n}")
+    if n > TOWER_LEVEL_CAP:
+        raise CapError(f"n={n} exceeds enumeration cap {TOWER_LEVEL_CAP}")
+    core = (1 << an) - 1
+    masks = [
+        m
+        for m in range(1 << n)
+        if (m & ~core == 0 and m.bit_count() <= bn) or (m & core).bit_count() >= bn
+    ]
+    return SetSystem(n, masks)
+
+
+CORE_PAIRS = [
+    (a, b)
+    for a in (0.1, 0.3, 0.5, 0.6, 0.667, 0.75, 0.8412, 1.0)
+    for b in (0.0, 0.25, 0.28, 0.334, 0.4, 0.5, 0.6309)
+]
+
+
+@pytest.mark.parametrize("n", [-1, 0, *range(1, 15), 29, 40])
+def test_core_matches_reference(n):
+    for alpha, beta in CORE_PAIRS:
+        same_outcome(core_prefix_system, core_reference, n, alpha, beta)
+
+
+def test_core_level_sizes_match_the_closed_form_n20():
+    n, an, bn = 20, 10, 5  # thm45:20,0.5,0.28
+    f = core_prefix_system(n, 0.5, 0.28)
+    levels = [0] * (n + 1)
+    for i in range(an + 1):
+        for j in range(n - an + 1):
+            if (j == 0 and i <= bn) or i >= bn:
+                levels[i + j] += comb(an, i) * comb(n - an, j)
+    assert [len(lv) for lv in f.levels] == levels
+
+
 # --- construction spec parsing ---------------------------------------------------
 
 def test_from_spec_tokens():
@@ -275,6 +362,46 @@ def test_from_spec_tokens():
     assert from_spec("thm45:6,0.667,0.334") == core_prefix_system(6, 2 / 3, 1 / 3)
     auto = from_spec("thm41:8,0.5,0.4112,auto")
     assert auto == banded_prefix_system(8, 0.5, 0.4112, 0.4703)
+
+
+SPECS = [
+    "kp",
+    "powerset:0",
+    "powerset:5",
+    "chain:1",
+    "chain:6",
+    "tower:1,1",
+    "tower:3,2",
+    "tower:2,4",
+    "tower:1,9",
+    "warmup:3,0.6",
+    "warmup:4,1.0",
+    "thm41:8,0.5,0.375,0.5",
+    "thm41:12,0.5,0.4112,auto",
+    "thm45:2,1.0,0.5",
+    "thm45:6,0.667,0.334",
+    "thm45:7,0.715,0.43",
+    "thm45:10,1.0,0.5",
+    "thm45:12,0.5,0.28",
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_trusted_levels_are_well_formed(spec):
+    """Builders that hand level arrays to SetSystem._of_levels skip its
+    checks, so check their output here."""
+    f = from_spec(spec)
+    assert len(f.levels) == len(f.level_arrays()) == f.n + 1
+    for k, (level, arr) in enumerate(zip(f.levels, f.level_arrays())):
+        assert arr.dtype == np.int64 and level == tuple(arr.tolist())
+        assert all(a < b for a, b in zip(level, level[1:]))  # ascending, no duplicates
+        assert all(0 <= m < 1 << f.n and m.bit_count() == k for m in level)
+    assert f == SetSystem(f.n, f.masks)
+    assert f.levels == SetSystem(f.n, f.masks).levels
+
+
+def test_trusted_levels_cover_every_token():
+    assert {spec.partition(":")[0] for spec in SPECS} == {"kp", "thm41", "thm45"} | set(_TOKENS)
 
 
 def test_from_spec_rejects_garbage():
