@@ -5,11 +5,12 @@ is generated by systems.relabel.  Fractional parameters are floored to
 integer counts and validated after flooring, so every builder is a pure
 function of integers.
 
-tower_of_cubes and core_prefix_system build their masks as int64 arrays,
-in ascending order, from submask arrays of the ground set's blocks; a stable
-sort by popcount splits them into levels, which go to SetSystem._of_levels
-without a per-mask Python loop.  No temporary spans the 2^n subsets of the
-ground set: the largest arrays are the size of the output.
+Every builder hands SetSystem one int64 array of masks, built from submask
+arrays of the ground set's blocks with broadcast ors, and no builder loops
+over single sets in Python; the constructor validates, sorts, deduplicates
+and splits the masks into levels.  Apart from powerset, no temporary spans
+the 2^n subsets of the ground set: the largest arrays are the size of the
+output.
 
 The two parametric families:
 
@@ -18,8 +19,9 @@ The two parametric families:
   suffix block, and keep each half of the ground set mostly on its own side.
   Canonical blocks: L1 = first half, L2 = its first floor(alpha*n) elements,
   R1 = second half, R2 = its last floor(alpha*n) elements.  Built from the
-  set-level membership characterization (below), not permutation closure, so
-  it scales to n around 24.
+  set-level membership characterization (below), not permutation closure:
+  for each admitted count tuple, the sets are one outer or of the blocks'
+  submasks of those sizes.
 
 * core_prefix_system(n, alpha, beta) -- minimal system supporting all
   permutations whose first floor(beta*n) entries lie in the core
@@ -45,7 +47,7 @@ whole predicate exhaustively at small n.
 """
 
 import math
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
@@ -56,16 +58,21 @@ TOWER_LEVEL_CAP = 28  # per-level 2^t enumeration
 
 def powerset(n: int) -> SetSystem:
     """All 2^n subsets.  S = 2, P = 1: the no-restriction baseline."""
+    if n < 0:
+        raise ValueError(f"powerset needs n >= 0, got {n}")
     if n > TOWER_LEVEL_CAP:
         raise CapError(f"powerset cap is n <= {TOWER_LEVEL_CAP}, got {n}")
-    return SetSystem(n, range(1 << n))
+    return SetSystem(n, np.arange(1 << n, dtype=np.int64))
 
 
 def single_chain(n: int) -> SetSystem:
     """The n+1 prefix-sets of the identity permutation.  C = 1."""
     if n < 1:
         raise ValueError("single_chain needs n >= 1")
-    return SetSystem(n, ((1 << i) - 1 for i in range(n + 1)))
+    if n > GROUND_CAP:  # before np.arange(n) allocates
+        raise CapError(f"ground set {n} exceeds cap {GROUND_CAP}")
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    return SetSystem(n, np.append(0, np.cumsum(bits)))  # each prefix sums its bits
 
 
 def tower_of_cubes(t: int, k: int) -> SetSystem:
@@ -85,9 +92,9 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
         raise CapError(f"ground set {n} exceeds cap {GROUND_CAP}")
     subs = np.arange(1 << t, dtype=np.int64)
     # block j adds base | sub << j*t with sub > 0 (sub = 0 is block j-1's
-    # full set); the blocks ascend one after another, so the masks do too
+    # full set)
     parts = [subs] + [((1 << (j * t)) - 1) | subs[1:] << (j * t) for j in range(1, k)]
-    return SetSystem._of_levels(n, split_levels(np.concatenate(parts), n))
+    return SetSystem(n, np.concatenate(parts))
 
 
 def koivisto_parviainen() -> SetSystem:
@@ -107,16 +114,10 @@ def split_system(n: int, chosen, t: int) -> SetSystem:
     """
     cmask = mask_of(chosen)
     rest = ((1 << n) - 1) ^ cmask
-    lows = submasks(cmask).tolist()
-    highs = submasks(rest).tolist()
+    lows, highs = submasks(cmask), submasks(rest)
     cap = rest.bit_count() - t
-    band_highs = [b for b in highs if b.bit_count() <= cap]
-    masks = set(lows)
-    masks.update(cmask | b for b in highs)
-    for a in lows:
-        if a.bit_count() >= t:
-            masks.update(a | b for b in band_highs)
-    return SetSystem(n, masks)
+    band = lows[np.bitwise_count(lows) >= t, None] | highs[np.bitwise_count(highs) <= cap]
+    return SetSystem(n, np.concatenate((lows, cmask | highs, band.ravel())))
 
 
 def split_band_system(k: int, beta: float) -> SetSystem:
@@ -174,32 +175,19 @@ def banded_prefix_system(n: int, alpha: float, beta: float, gamma: float) -> Set
         from_core = max(0, from_left - x2)  # L1\L2 before L2
         return x1 - from_core >= bn
 
-    blocks = (
-        tuple(range(1, an + 1)),  # L2
-        tuple(range(an + 1, h + 1)),  # L1 \ L2
-        tuple(range(h + 1, n - an + 1)),  # R1 \ R2
-        tuple(range(n - an + 1, n + 1)),  # R2
-    )
-    masks = []
-    sizes = tuple(len(b) for b in blocks)
-    for x1 in range(sizes[0] + 1):
-        for x2 in range(sizes[1] + 1):
-            for x3 in range(sizes[2] + 1):
-                for x4 in range(sizes[3] + 1):
-                    if not admits(x1, x2, x3, x4):
-                        continue
-                    parts = [
-                        [mask_of(c) for c in combinations(blocks[i], x)]
-                        for i, x in enumerate((x1, x2, x3, x4))
-                    ]
-                    for m1 in parts[0]:
-                        for m2 in parts[1]:
-                            m12 = m1 | m2
-                            for m3 in parts[2]:
-                                m123 = m12 | m3
-                                for m4 in parts[3]:
-                                    masks.append(m123 | m4)
-    return SetSystem(n, masks)
+    # the blocks L2, L1\L2, R1\R2, R2 as bit ranges; groups[i][x] holds the
+    # submasks of block i with x elements
+    bounds = (0, an, h, n - an, n)
+    groups = [
+        split_levels(submasks((1 << hi) - (1 << lo)), hi - lo)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    parts = []
+    for x in product(*(range(len(g)) for g in groups)):
+        if admits(*x):
+            g1, g2, g3, g4 = (g[i] for g, i in zip(groups, x))
+            parts.append((g1[:, None, None, None] | g2[:, None, None] | g3[:, None] | g4).ravel())
+    return SetSystem(n, np.concatenate(parts))
 
 
 def banded_permutation_predicate(n: int, alpha: float, beta: float, gamma: float):
@@ -241,12 +229,8 @@ def core_prefix_system(n: int, alpha: float, beta: float) -> SetSystem:
     core = (1 << an) - 1
     lows = submasks(core)
     highs = submasks(((1 << n) - 1) ^ core)
-    # the rest's bits lie above the core's, so the core's own subsets (rest
-    # part empty) and then, row by row, each nonempty rest submask or-ed
-    # with the core submasks of at least bn elements ascend
     cut = lows[np.bitwise_count(lows) >= bn]
-    masks = np.concatenate((lows, (highs[1:, None] | cut).ravel()))
-    return SetSystem._of_levels(n, split_levels(masks, n))
+    return SetSystem(n, np.concatenate((lows, (highs[1:, None] | cut).ravel())))
 
 
 _TOKENS = {

@@ -51,6 +51,8 @@ from itertools import permutations as iter_permutations
 from math import ceil, factorial
 from os import path as os_path
 
+import numpy as np
+
 from . import systems
 from .rng import SplitMix64
 from .systems import (
@@ -327,7 +329,7 @@ def _chains_through(f: SetSystem) -> dict:
     """{s: number of chains of f passing through s}: the chains from ∅ to s
     times those from s to [n], the latter counted from ∅ in the complements."""
     full = (1 << f.n) - 1
-    down = chain_counts(SetSystem(f.n, (full ^ m for m in f.masks)))
+    down = chain_counts(SetSystem(f.n, full ^ np.concatenate(f.level_arrays())))
     return {s: c * down.get(full ^ s, 0) for s, c in chain_counts(f).items()}
 
 

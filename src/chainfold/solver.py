@@ -92,7 +92,7 @@ from math import comb
 
 import numpy as np
 
-from .constructions import split_system
+from .constructions import powerset, split_system
 from .cover import CoverFamily, covers_all
 from .rng import SplitMix64
 from .systems import (
@@ -310,7 +310,7 @@ class _Lattice:
 @cache
 def _powerset_lattice(m):
     """The level arrays and successor index of powerset(m)."""
-    f = SetSystem(m, range(1 << m))
+    f = powerset(m)
     return f.level_arrays(), f.successor_index()
 
 

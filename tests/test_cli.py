@@ -205,6 +205,15 @@ def test_sys_cap_violation_exits_3(capsys):
     assert code == 3
 
 
+def test_sys_negative_powerset_exits_2(capsys):
+    code = main(["sys", "--make", "powerset:-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: bad construction spec 'powerset:-1': powerset needs n >= 0, got -1\n"
+    )
+
+
 def test_sys_auto_gamma(capsys, tmp_path):
     code, out = run_cli(capsys, "sys", "--make", "thm41:8,0.5,0.4112,auto")
     assert code == 0 and "sets=47" in out

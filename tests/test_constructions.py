@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from chainfold import constructions
 from chainfold.analysis import SQRT2_PARAMS
 from chainfold.constructions import (
     TOWER_LEVEL_CAP,
@@ -20,6 +21,7 @@ from chainfold.constructions import (
     powerset,
     single_chain,
     split_band_system,
+    split_system,
     tower_of_cubes,
 )
 from chainfold.rng import SplitMix64
@@ -30,8 +32,10 @@ from chainfold.systems import (
     SetSystem,
     closure_from_permutations,
     count_chains,
+    mask_of,
     metrics,
     prefix_chain,
+    submasks,
     supported_permutation_count,
     supports,
 )
@@ -51,12 +55,27 @@ def test_powerset_cap():
         powerset(29)
 
 
+def test_powerset_rejects_negative_n():
+    with pytest.raises(ValueError, match=r"^powerset needs n >= 0, got -1$"):
+        powerset(-1)
+    with pytest.raises(ValueError) as exc:
+        from_spec("powerset:-1")
+    assert str(exc.value) == "bad construction spec 'powerset:-1': powerset needs n >= 0, got -1"
+
+
 def test_single_chain_basics():
     f = single_chain(1)
     assert f.mask_set() == {0, 1}
     assert count_chains(f) == 1
     for n in range(1, 7):
         assert count_chains(single_chain(n)) == 1
+
+
+def test_single_chain_ends_at_the_cap():
+    assert single_chain(63).levels == tuple(((1 << k) - 1,) for k in range(64))
+    for n in (64, 10**12):
+        with pytest.raises(CapError, match=f"^ground set {n} exceeds cap 63$"):
+            single_chain(n)
 
 
 # --- tower of cubes ----------------------------------------------------------
@@ -175,6 +194,46 @@ def test_band_fraction_via_relabeling_oracle():
         assert count_chains(f) * n_distinct == m_distinct * factorial(2 * k)
 
 
+def split_reference(n, chosen, t):
+    """split_system as one set of masks, one set at a time."""
+    cmask = mask_of(chosen)
+    rest = ((1 << n) - 1) ^ cmask
+    lows = submasks(cmask).tolist()
+    highs = submasks(rest).tolist()
+    cap = rest.bit_count() - t
+    band_highs = [b for b in highs if b.bit_count() <= cap]
+    masks = set(lows)
+    masks.update(cmask | b for b in highs)
+    for a in lows:
+        if a.bit_count() >= t:
+            masks.update(a | b for b in band_highs)
+    return SetSystem(n, masks)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_split_matches_reference(n):
+    # t runs past both sides' sizes and below zero, where the band is empty
+    # or every set
+    choices = [(), range(1, n // 2 + 1), range(1, n + 1), SplitMix64(n).sample(n, n // 2)]
+    choices += [c for c in combinations(range(1, n + 1), 3) if n <= 6]
+    for chosen in choices:
+        for t in range(-2, n + 2):
+            same_outcome(split_system, split_reference, n, chosen, t)
+
+
+def split_band_reference(k, beta):
+    """split_band_system with split_reference in place of split_system."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "split_system", split_reference)
+        return split_band_system(k, beta)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, 3, 5, 8, 9, 29, 32])
+def test_split_band_matches_reference(k):
+    for beta in (0.3, 0.5, 0.6, 0.75, 0.889972, 1.0, 1.2):
+        same_outcome(split_band_system, split_band_reference, k, beta)
+
+
 def test_band_parameter_validation():
     with pytest.raises(ValueError):
         split_band_system(4, 0.3)
@@ -268,6 +327,73 @@ def test_banded_supported_count_beats_binomial_fraction():
             comb(n, h) * comb(h, an) ** 2,
         )
         assert Fraction(count_chains(f)) >= frac * factorial(n)
+
+
+def banded_reference(n, alpha, beta, gamma):
+    """banded_prefix_system as a list of masks, one combination of each
+    block's elements at a time."""
+    if n < 2 or n % 2:
+        raise ValueError(f"ground set must be even and >= 2, got {n}")
+    h = n // 2
+    an, bn, gn = (int(x * n + 1e-9) for x in (alpha, beta, gamma))
+    if not (n // 4 <= bn <= gn <= h and bn <= an <= h):
+        raise ValueError(f"invalid floored counts an={an} bn={bn} gn={gn} for n={n}")
+    if n > 2 * TOWER_LEVEL_CAP or an > TOWER_LEVEL_CAP:
+        raise CapError(f"n={n} exceeds enumeration caps")
+
+    def admits(x1, x2, x3, x4):
+        k = x1 + x2 + x3 + x4
+        if k <= bn:
+            return x2 == 0 and x3 == 0 and x4 == 0
+        if k >= n - bn:
+            return x1 == an and x2 == h - an and x3 == h - an
+        if x1 < bn or x4 > an - bn:
+            return False
+        if k <= h:
+            return x1 + x2 >= k - h + gn
+        from_left = max(0, k - h - x3 - x4)
+        if x1 + x2 - from_left < gn:
+            return False
+        return x1 - max(0, from_left - x2) >= bn
+
+    blocks = (
+        range(1, an + 1),
+        range(an + 1, h + 1),
+        range(h + 1, n - an + 1),
+        range(n - an + 1, n + 1),
+    )
+    masks = []
+    for xs in product(*(range(len(b) + 1) for b in blocks)):
+        if admits(*xs):
+            parts = [[mask_of(c) for c in combinations(b, x)] for b, x in zip(blocks, xs)]
+            for m1 in parts[0]:
+                for m2 in parts[1]:
+                    for m3 in parts[2]:
+                        for m4 in parts[3]:
+                            masks.append(m1 | m2 | m3 | m4)
+    return SetSystem(n, masks)
+
+
+BANDED_TRIPLES = [
+    (a, b, g)
+    for a in (0.1, 0.25, 0.4, 0.5, 0.6)
+    for b in (0.2, 0.25, 0.3, 0.375, 0.4112, 0.5)
+    for g in (0.3, 0.42, 0.4703, 0.5, 0.55)
+]
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 2, 3, 4, 6, 8, 9, 10, 12, 14, 16, 58, 60])
+def test_banded_matches_reference(n):
+    for alpha, beta, gamma in BANDED_TRIPLES:
+        same_outcome(banded_prefix_system, banded_reference, n, alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("n,sets", [(24, 15199), (30, 82560)])
+def test_banded_matches_reference_on_the_sqrt2_ray(n, sets):
+    gamma = SQRT2_PARAMS.gamma
+    same_outcome(banded_prefix_system, banded_reference, n, 0.5, 0.4112, gamma)
+    assert len(banded_prefix_system(n, 0.5, 0.4112, gamma)) == sets
+    assert from_spec(f"thm41:{n},0.5,0.4112,auto") == banded_prefix_system(n, 0.5, 0.4112, gamma)
 
 
 def test_banded_validation():
@@ -388,8 +514,9 @@ SPECS = [
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_trusted_levels_are_well_formed(spec):
-    """Builders that hand level arrays to SetSystem._of_levels skip its
-    checks, so check their output here."""
+    """Pins the constructor's level invariants for every token: each level
+    ascending, duplicate-free, inside [n] and of its popcount, and the same
+    as its read-only int64 array."""
     f = from_spec(spec)
     assert len(f.levels) == len(f.level_arrays()) == f.n + 1
     for k, (level, arr) in enumerate(zip(f.levels, f.level_arrays())):

@@ -58,6 +58,99 @@ def small_permutations(draw, min_n=1, max_n=7):
     return tuple(draw(st.permutations(range(1, n + 1))))
 
 
+# --- constructor -------------------------------------------------------------
+
+def setsystem_reference(n, masks):
+    """The levels the per-mask constructor loop builds: each mask checked,
+    deduplicated through a set and filed under its popcount."""
+    if n < 0:
+        raise ValueError("ground-set size must be nonnegative")
+    if n > systems.GROUND_CAP:
+        raise CapError(f"ground set {n} exceeds cap {systems.GROUND_CAP}")
+    top = 1 << n
+    levels = [[] for _ in range(n + 1)]
+    seen = set()
+    for m in masks:
+        if not 0 <= m < top:
+            raise ValueError(f"mask {m:#x} outside ground set [{n}]")
+        if m not in seen:
+            seen.add(m)
+            levels[m.bit_count()].append(m)
+    return tuple(tuple(sorted(lv)) for lv in levels)
+
+
+def assert_constructor_matches_reference(n, masks):
+    """SetSystem(n, ...) against the reference over the masks as a list, a
+    generator, a frozenset and (where they fit) an int64 array: equal
+    levels, or the same error type and message."""
+    masks = list(masks)
+    shapes = [list, lambda ms: (m for m in ms), frozenset]
+    if all(-(1 << 63) <= m < 1 << 63 for m in masks):
+        shapes.append(lambda ms: np.array(ms, dtype=np.int64))
+    for shape in shapes:
+        try:
+            want = setsystem_reference(n, shape(masks))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                SetSystem(n, shape(masks))
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        f = SetSystem(n, shape(masks))
+        assert f.n == n and f.levels == want
+        assert [a.tolist() for a in f.level_arrays()] == [list(lv) for lv in want]
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in f.level_arrays())
+        assert f.mask_set() == set(masks) and len(f) == len(set(masks))
+
+
+def test_constructor_leaves_its_input_array_alone():
+    for masks in ([0, 1, 3, 7], [7, 3, 3, 0]):
+        arr = np.array(masks, dtype=np.int64)
+        f = SetSystem(3, arr)
+        assert arr.tolist() == masks and arr.flags.writeable
+        assert not any(np.shares_memory(arr, a) for a in f.level_arrays())
+
+
+CONSTRUCTOR_CASES = [
+    (0, []),
+    (0, [0]),
+    (0, [0, 0, 0]),
+    (0, [1]),
+    (3, []),
+    (3, range(8)),
+    (3, [7, 0, 5, 5, 2, 7, 0, 1]),
+    (4, [0b1010, 0, 0b1111, 0b1, 0b1010]),
+    (10, [(m * 389) % 1024 for m in range(3000)]),
+    (63, [0, (1 << 63) - 1, 1 << 62, 5, (1 << 63) - 1]),
+    (5, [3, -1, 4]),
+    (5, [3, 1 << 5, 4]),
+    (5, [3, 1 << 63, 4]),
+    (5, [3, 1 << 70, 4]),
+    (5, [3, -(1 << 70), 4]),
+    (63, [1, 1 << 63]),
+    (63, [1 << 70, -1]),
+    (4, [1, 2, 3, 1 << 70, 99, -1]),  # the first bad mask, in input order
+    (4, [1, -1, 1 << 70]),
+    (-1, []),
+    (-1, [1 << 70]),
+    (64, [0]),
+    (70, [1 << 70]),
+]
+
+
+@pytest.mark.parametrize("n,masks", CONSTRUCTOR_CASES)
+def test_constructor_matches_reference(n, masks):
+    assert_constructor_matches_reference(n, masks)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 12), st.data())
+def test_constructor_matches_reference_on_random_masks(n, data):
+    masks = data.draw(st.lists(st.integers(-2, (1 << n) + 1), max_size=80))
+    ok = [m for m in masks if 0 <= m < 1 << n]
+    assert_constructor_matches_reference(n, data.draw(st.permutations(ok + ok[:10])))
+    assert_constructor_matches_reference(n, masks)
+
+
 # --- prefix_chain ----------------------------------------------------------
 
 def test_prefix_chain_two_elements():
