@@ -37,11 +37,13 @@ finite-n gaps are reported separately by the finite-size helpers.
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+
+import numpy as np
 
 from .systems import SetSystem, metrics
 
 LG = math.log2
+GRID_POINTS = 1 << 20  # optimize_params range-tests this many grid points at once
 
 
 def entropy(x: float) -> float:
@@ -90,12 +92,13 @@ class BoundParams:
     gamma: float | None = None  # unused for the core-prefix family
 
 
+# The parameter range of each family, on floats or elementwise on arrays.
 def _banded_range(a, b, g):
-    return 0.25 <= b <= g <= 0.5 and b <= a <= 0.5
+    return (0.25 <= b) & (b <= g) & (g <= 0.5) & (b <= a) & (a <= 0.5)
 
 
 def _core_range(a, b):
-    return 0 < a <= 1 and a / 2 <= b <= a
+    return (0 < a) & (a <= 1) & (a / 2 <= b) & (b <= a)
 
 
 # The lg S and lg P formulas of each family at a point of its range; h is
@@ -241,9 +244,11 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
 
     Deterministic: a fixed coarse grid scanned in a fixed order (first best
     wins ties), then locally refined; grid is the coarse step, floored at
-    1e-4 by contract.  Each point in range is tested on lg S alone, and lg P
-    is computed only where lg S <= target + 1e-12 holds, so the scan order
-    and the points compared are those of evaluating both at every point.
+    1e-4 by contract.  The range is tested in numpy, on up to GRID_POINTS
+    points of the grid at once in itertools.product order; each point in
+    range is tested on lg S alone, and lg P is computed only where lg S <=
+    target + 1e-12 holds, so the scan order and the points compared are
+    those of evaluating both at every point.
     """
     if grid < 1e-4:
         raise ValueError("grid resolution below the 1e-4 floor")
@@ -262,12 +267,17 @@ def optimize_params(target_lg_s: float, theorem: int, grid: float = 0.005) -> Bo
                 ranges.append(
                     [min(max(c + i * step, lo), hi) for i in range(-3, 4)]
                 )
-        for coords in product(*ranges):
-            if not valid(*coords) or lg_s_of(*coords, h=h) > limit:
-                continue
-            lg_p = lg_p_of(*coords, h=h)
-            if best is None or lg_p < best[0] - 1e-15:
-                best = (lg_p, coords)
+        first, rest = ranges[0], ranges[1:]
+        rows = max(1, GRID_POINTS // math.prod(map(len, rest)))
+        for lo in range(0, len(first), rows):
+            grids = [g.ravel() for g in np.meshgrid(first[lo : lo + rows], *rest, indexing="ij")]
+            inside = valid(*grids)
+            for coords in zip(*(g[inside].tolist() for g in grids)):
+                if lg_s_of(*coords, h=h) > limit:
+                    continue
+                lg_p = lg_p_of(*coords, h=h)
+                if best is None or lg_p < best[0] - 1e-15:
+                    best = (lg_p, coords)
         return best
 
     best = scan([None] * len(axes), grid)

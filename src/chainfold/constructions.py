@@ -54,6 +54,7 @@ import numpy as np
 from .systems import GROUND_CAP, CapError, SetSystem, mask_of, split_levels, submasks
 
 TOWER_LEVEL_CAP = 28  # per-level 2^t enumeration
+SPLIT_SET_CAP = 1 << 24  # masks split_system may ask for, counted before it builds any
 
 
 def powerset(n: int) -> SetSystem:
@@ -110,12 +111,19 @@ def split_system(n: int, chosen, t: int) -> SetSystem:
 
     Subsets of the chosen cities, the chosen cities plus any subset of the
     rest, and the band of sets holding at least t chosen cities and missing
-    at least t of the rest.
+    at least t of the rest.  Raises CapError when these parts ask for more
+    than SPLIT_SET_CAP masks, counted from binomials before any is built.
     """
     cmask = mask_of(chosen)
     rest = ((1 << n) - 1) ^ cmask
+    c, r = cmask.bit_count(), rest.bit_count()
+    cap = r - t
+    band_lows = sum(math.comb(c, i) for i in range(max(t, 0), c + 1))
+    band_highs = sum(math.comb(r, j) for j in range(min(cap, r) + 1))
+    asked = (1 << c) + (1 << r) + band_lows * band_highs
+    if asked > SPLIT_SET_CAP:
+        raise CapError(f"split system asks for {asked} sets; cap {SPLIT_SET_CAP}")
     lows, highs = submasks(cmask), submasks(rest)
-    cap = rest.bit_count() - t
     band = lows[np.bitwise_count(lows) >= t, None] | highs[np.bitwise_count(highs) <= cap]
     return SetSystem(n, np.concatenate((lows, cmask | highs, band.ravel())))
 

@@ -93,18 +93,21 @@ class CoverFamily:
         if self._systems is None:
             members = [relabel(self.base, s) for s in self.relabelings]
             if self.unique_mode and self.removed:
-                members = [
-                    SetSystem(g.n, g.mask_set() - set(rm))
-                    for g, rm in zip(members, self.removed)
-                ]
+                members = [_without(g, rm) for g, rm in zip(members, self.removed)]
             self._systems = members
         return self._systems
+
+
+def _without(g: SetSystem, masks) -> SetSystem:
+    """g less the given masks."""
+    flat = np.concatenate(g.level_arrays())
+    return SetSystem(g.n, flat[~np.isin(flat, np.asarray(masks, dtype=np.int64))])
 
 
 def _add_member(where: dict, j: int, g: SetSystem) -> None:
     """Record member j in where = {set: bitmask of the members holding it}."""
     bit = 1 << j
-    for m in g.mask_set():
+    for m in np.concatenate(g.level_arrays()).tolist():
         where[m] = where.get(m, 0) | bit
 
 
@@ -317,10 +320,11 @@ def regularly_intersecting(f1: SetSystem, f2: SetSystem):
 
 def _witness(f1: SetSystem, through1: dict, f2: SetSystem):
     """regularly_intersecting(f1, f2), given through1 = _chains_through(f1)."""
-    f12 = SetSystem(f1.n, f1.mask_set() & f2.mask_set())
+    flat1, flat2 = (np.concatenate(f.level_arrays()) for f in (f1, f2))
+    f12 = SetSystem(f1.n, np.intersect1d(flat1, flat2, assume_unique=True))
     through12 = _chains_through(f12)
     candidate = tuple(m for m in f12.masks if through1.get(m, 0) == through12.get(m, 0))
-    if count_chains(SetSystem(f1.n, f12.mask_set().difference(candidate))):
+    if count_chains(_without(f12, candidate)):
         return None
     return candidate
 

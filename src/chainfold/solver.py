@@ -243,7 +243,8 @@ def _orbit_answers(inst: TspInstance, base: SetSystem, members):
     entry, in base's level order, is False (keep None: all sets).  Members
     drawn lazily; a member that lacks the empty or the full set has no
     tour and no problem."""
-    if not (base.levels[0] and base.levels[-1]):
+    arrays = base.level_arrays()
+    if not (len(arrays[0]) and len(arrays[-1])):
         return
     lat = _Lattice.of_system(base)
     cols = [int(s).bit_length() - 1 for s in lat.levels[1]]  # each {first}'s column

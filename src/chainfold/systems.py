@@ -161,12 +161,16 @@ class SetSystem:
     SetSystem(n, masks) takes the masks as an int64 array or any iterable of
     ints, in any order and with duplicates.  It raises ValueError for n < 0,
     CapError for n > GROUND_CAP, and ValueError naming the first mask, in
-    input order, outside [0, 2^n).  It then keeps each distinct mask once:
-    levels[k] is the ascending tuple of the masks of popcount k, and
-    level_arrays()[k] the same masks as a read-only int64 array.
+    input order, outside [0, 2^n).  It then keeps each distinct mask once,
+    in level_arrays(): per popcount k, the ascending masks of k elements as
+    a read-only int64 array.  Those arrays are the only stored masks, 8 B a
+    set; len, == and hash read them and n.  The Python views are built from
+    them on demand: levels (per popcount, the ascending tuple of masks) and
+    masks on every read, mask_set() on its first call and then cached, as
+    are successors(), elements() and successor_index().
     """
 
-    __slots__ = ("n", "levels", "_mask_set", "_succ", "_elems", "_arrays", "_index")
+    __slots__ = ("n", "_arrays", "_size", "_mask_set", "_succ", "_elems", "_index")
 
     def __init__(self, n: int, masks):
         if n < 0:
@@ -190,36 +194,43 @@ class SetSystem:
             keep = np.ones(len(arr), dtype=bool)
             keep[1:] = arr[1:] != arr[:-1]
             arr = arr[keep]
-        arrays = split_levels(arr, n)
         self.n = n
-        self.levels = tuple(tuple(a.tolist()) for a in arrays)
-        self._mask_set = frozenset().union(*self.levels)
-        self._arrays = tuple(arrays)
-        self._succ = self._elems = self._index = None
+        self._arrays = tuple(split_levels(arr, n))
+        self._size = len(arr)
+        self._mask_set = self._succ = self._elems = self._index = None
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Per popcount k, the ascending tuple of the masks of k elements."""
+        return tuple(tuple(a.tolist()) for a in self._arrays)
 
     @property
     def masks(self) -> tuple[int, ...]:
         """All masks, ascending by (popcount, value)."""
-        return tuple(m for lv in self.levels for m in lv)
+        return tuple(np.concatenate(self._arrays).tolist())
 
     def __len__(self) -> int:
-        return len(self._mask_set)
+        return self._size
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._mask_set
+        return mask in self.mask_set()
 
     def mask_set(self) -> frozenset:
+        """The masks as a frozenset; built on the first call and cached."""
+        if self._mask_set is None:
+            self._mask_set = frozenset(np.concatenate(self._arrays).tolist())
         return self._mask_set
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetSystem)
             and self.n == other.n
-            and self._mask_set == other._mask_set
+            and all(map(np.array_equal, self._arrays, other._arrays))
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._mask_set))
+        # equal systems hold equal level arrays, so equal bytes
+        return hash((self.n, *(a.tobytes() for a in self._arrays)))
 
     def __repr__(self) -> str:
         return f"SetSystem(n={self.n}, size={len(self)})"
@@ -227,11 +238,13 @@ class SetSystem:
     def successors(self) -> dict:
         """mask -> tuple of (added element, next mask in F), ascending by
         added element; cached.  Read off successor_index(), row by row in
-        its column order (column j is element j + 1); the next masks are
-        the level tuples' own ints."""
+        its column order (column j is element j + 1); each level's tolist()
+        gives both its masks' keys and the next masks of the level below,
+        so the map holds one int object per set."""
         if self._succ is None:
-            succ = dict.fromkeys(self.levels[-1], ())
-            for lower, upper, idx in zip(self.levels, self.levels[1:], self.successor_index()):
+            levels = [a.tolist() for a in self._arrays]
+            succ = dict.fromkeys(levels[-1], ())
+            for lower, upper, idx in zip(levels, levels[1:], self.successor_index()):
                 hit = idx >= 0
                 rows, cols = np.nonzero(hit)  # row-major: by set, then by element
                 pairs = [(j + 1, upper[i]) for j, i in zip(cols.tolist(), idx[hit].tolist())]
@@ -244,7 +257,7 @@ class SetSystem:
     def elements(self) -> dict:
         """mask -> tuple of its 1-based elements; cached."""
         if self._elems is None:
-            self._elems = {m: elems_of(m) for m in self._mask_set}
+            self._elems = {m: elems_of(m) for m in np.concatenate(self._arrays).tolist()}
         return self._elems
 
     def level_arrays(self) -> tuple:
@@ -319,7 +332,7 @@ def _chain_levels(f: SetSystem):
     counts are int64 through level INT64_LEVELS and Python ints (object
     arrays) above it.
     """
-    if not f.levels[0]:
+    if not len(f.level_arrays()[0]):
         return
     bits = _BITS[: f.n]
     column = bits[:, None]
@@ -461,10 +474,9 @@ def relabeling_orbit(f: SetSystem) -> set[frozenset]:
 
 def dump_system(f: SetSystem, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"n {f.n}\n")
-        fh.write(f"count {len(f)}\n")
-        for m in f.masks:
-            fh.write(format(m, "x") + "\n")
+        fh.write(f"n {f.n}\ncount {len(f)}\n")
+        for level in f.level_arrays():  # one write a level
+            fh.write("".join(["%x\n" % m for m in level.tolist()]))
 
 
 def load_system(path) -> SetSystem:

@@ -4,10 +4,12 @@ import math
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfold import analysis
 from chainfold.analysis import (
     CORE_PARAMS,
     LOWSPACE_PARAMS,
@@ -285,15 +287,23 @@ def test_optimizer_full_space_is_free():
     assert lg_s <= 1.0 and abs(lg_p) <= 1e-9
 
 
+def banded_range_reference(a, b, g):
+    return 0.25 <= b <= g <= 0.5 and b <= a <= 0.5
+
+
+def core_range_reference(a, b):
+    return 0 < a <= 1 and a / 2 <= b <= a
+
+
 def optimize_reference(target_lg_s, theorem, grid=0.005):
-    """optimize_params evaluating lg S and lg P through bounds_for at every
-    point of the scan."""
+    """optimize_params testing the range and evaluating lg S and lg P
+    through bounds_for one point of the scan at a time."""
     if grid < 1e-4:
         raise ValueError("grid resolution below the 1e-4 floor")
     if theorem == 41:
-        valid, axes = _banded_range, ((0.25, 0.5),) * 3
+        valid, axes = banded_range_reference, ((0.25, 0.5),) * 3
     elif theorem == 45:
-        valid, axes = _core_range, ((1e-6, 1.0),) * 2
+        valid, axes = core_range_reference, ((1e-6, 1.0),) * 2
     else:
         raise ValueError(f"unknown bound family {theorem}; expected 41 or 45")
 
@@ -359,6 +369,24 @@ def test_optimizer_matches_the_full_scan(target, theorem, grid):
         return
     got = optimize_params(target, theorem, grid)
     assert (got.alpha, got.beta, got.gamma) == (want.alpha, want.beta, want.gamma)
+
+
+@pytest.mark.parametrize("points", [1, 50, 3000])
+def test_optimizer_is_the_same_in_any_chunking(monkeypatch, points):
+    # the range test runs on GRID_POINTS grid points at a time, at least
+    # one row of the first axis
+    monkeypatch.setattr(analysis, "GRID_POINTS", points)
+    for target, theorem, grid in [(0.48, 41, 0.05), (0.9, 45, 0.02)]:
+        assert optimize_params(target, theorem, grid) == optimize_reference(target, theorem, grid)
+
+
+def test_range_checks_agree_with_chained_comparisons():
+    axis = [0.0, 1e-6, 0.2, 0.25, 0.3, 0.375, 0.4, 0.5, 0.6, 0.75, 1.0, 1.1]
+    for valid, ref, dims in [(_banded_range, banded_range_reference, 3), (_core_range, core_range_reference, 2)]:
+        points = list(product(axis, repeat=dims))
+        grids = [np.array(c) for c in zip(*points)]
+        assert valid(*grids).tolist() == [ref(*p) for p in points]
+        assert [valid(*p) for p in points] == [ref(*p) for p in points]
 
 
 def test_optimizer_infeasible_target():

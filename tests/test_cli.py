@@ -203,6 +203,9 @@ def test_sys_bare_metrics_without_make_exits_2(capsys):
 def test_sys_cap_violation_exits_3(capsys):
     code, _ = run_cli(capsys, "sys", "--make", "powerset:40")
     assert code == 3
+    # a split band of about 98 M sets is refused before it is built
+    code, out = run_cli(capsys, "sys", "--make", "warmup:14,0.5")
+    assert code == 3 and out == ""
 
 
 def test_sys_negative_powerset_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Construction builders against permutation-closure and enumeration oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -239,6 +240,27 @@ def test_band_parameter_validation():
         split_band_system(4, 0.3)
     with pytest.raises(CapError):
         split_band_system(30, 0.9)
+
+
+def test_split_set_cap_refuses_before_allocating():
+    # a band of 9 908 x 9 908 sets, refused from binomials alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapError, match="split system asks for"):
+            split_band_system(14, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the count is exact: split_band_system(4, 0.5) asks for 2^4 lows, 2^4
+    # highs and a band of 11 x 11 sets, so a cap at that sum admits it
+    asked = 2 * (1 << 4) + 11 * 11
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "SPLIT_SET_CAP", asked)
+        assert split_band_system(4, 0.5) == split_band_reference(4, 0.5)
+        patch.setattr(constructions, "SPLIT_SET_CAP", asked - 1)
+        with pytest.raises(CapError):
+            split_band_system(4, 0.5)
 
 
 # --- split prefix system (the one split builder) --------------------------------

@@ -1,6 +1,7 @@
 """Core set-system operations against enumeration oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -96,10 +97,12 @@ def assert_constructor_matches_reference(n, masks):
             assert type(got.value) is type(exc) and str(got.value) == str(exc)
             continue
         f = SetSystem(n, shape(masks))
-        assert f.n == n and f.levels == want
+        flat = tuple(m for lv in want for m in lv)
+        assert f.n == n and f.levels == want and f.masks == flat
         assert [a.tolist() for a in f.level_arrays()] == [list(lv) for lv in want]
         assert all(a.dtype == np.int64 and not a.flags.writeable for a in f.level_arrays())
-        assert f.mask_set() == set(masks) and len(f) == len(set(masks))
+        assert f.mask_set() == frozenset(flat) and len(f) == len(flat)
+        assert f.mask_set() is f.mask_set()  # built once, then cached
 
 
 def test_constructor_leaves_its_input_array_alone():
@@ -149,6 +152,36 @@ def test_constructor_matches_reference_on_random_masks(n, data):
     ok = [m for m in masks if 0 <= m < 1 << n]
     assert_constructor_matches_reference(n, data.draw(st.permutations(ok + ok[:10])))
     assert_constructor_matches_reference(n, masks)
+
+
+def test_equal_masks_build_equal_systems_with_equal_hashes():
+    masks = [(m * 389) % 1024 for m in range(300)]
+    shuffled = np.array(masks, dtype=np.int64)
+    np.random.default_rng(4).shuffle(shuffled)
+    same = [SetSystem(10, masks), SetSystem(10, shuffled), SetSystem(10, frozenset(masks))]
+    assert all(f == same[0] and hash(f) == hash(same[0]) for f in same)
+    assert len({*same}) == 1
+    different = [SetSystem(11, masks), SetSystem(10, masks[1:]), SetSystem(10, masks[:-1])]
+    assert all(f != same[0] for f in different)
+    assert SetSystem(3, []) != SetSystem(4, []) and SetSystem(3, []) == SetSystem(3, ())
+    assert SetSystem(3, [0]) != frozenset([0])
+
+
+def test_system_holds_its_masks_once():
+    # the int64 level arrays are the only masks a system keeps: 8 B a set,
+    # plus a small constant, after building and counting its chains
+    from chainfold.constructions import from_spec
+
+    from_spec("thm45:18,0.5,0.28")  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        f = from_spec("thm45:18,0.5,0.28")
+        metrics(f)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f) == 131328
+    assert held <= 9 * len(f) + (1 << 16)
 
 
 # --- prefix_chain ----------------------------------------------------------
