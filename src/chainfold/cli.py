@@ -198,11 +198,12 @@ def cmd_verify(args) -> int:
         print(f"{status} {name}")
         for line in result.lines:
             print(f"  {line}")
-        print(f"  elapsed {result.elapsed:.1f}s", file=sys.stderr)
+        # stderr lines name their suite, so they can be read apart from stdout
+        print(f"{name} elapsed {result.elapsed:.1f}s", file=sys.stderr)
         if result.gate:
             what, seconds, limit = result.gate
             print(
-                f"  gate {what} {seconds:.3f}s of {limit:g}s ({seconds / limit:.1%})",
+                f"{name} gate {what} {seconds:.3f}s of {limit:g}s ({seconds / limit:.1%})",
                 file=sys.stderr,
             )
         if not result.passed:

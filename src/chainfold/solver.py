@@ -7,45 +7,49 @@ It solves many chain problems over one lattice and one distance matrix in a
 single numpy sweep.
 
 A lattice holds the sets a sweep may visit, subsets of a city set top kept
-as one ascending int64 array per popcount, and their successor index: for
-each set s and each city e of top, where s | e lies in the level above, or
--1.  A SetSystem caches its index (SetSystem.successor_index), built on its
-first use.  Every sweep over the subsets of m <= SHARED_LATTICE cities (the
-Gurevich-Shelah leaf groups, held_karp and _fixed_path) shares the cached
-lattice of powerset(m), read with bit j standing for the j-th city.  Above
-that, the subsets that hold a fixed path's first city (held_karp's: up to
-2^23) serve one call, so they are built per call and searched chunk by
-chunk.
+as one ascending int64 array per popcount, and a way to find, for each set
+s and each city e of top, where s | e lies in the level above.  A
+SetSystem's lattice reads its successor index (SetSystem.successor_index),
+built on its first use and cached: where s | e lies, or -1.  A lattice of
+every subset of top, or of every subset that holds one city (the
+Gurevich-Shelah leaf groups, held_karp and _fixed_path), needs no index:
+s | e is in it whenever e is not in s, so the sweep looks it up in a rank
+table over all 2^|top| masks, int32, that holds each set's place within its
+level (64 MiB at held_karp's cap of 24 cities).
 
 A problem (first, last, perm, keep) asks for the cheapest chain from {first}
 up to top through the lattice's sets, relabeled by perm and filtered by
 keep, closing at last.  B(s, c) = cheapest completion of a chain whose
 prefix-set is s and whose last city is c, held in int64 rows, one per
 (problem, set), filled one popcount level at a time from the top set down.
-A problem's rows are the kept sets that hold its first city, picked from
-the shared levels; a map from (problem, set) to row turns the shared index
-into each row's successors, so nothing is sorted or searched per problem.
-The gathered B(s | e, e) form a (rows x cities) table, and the level is the
-(min,+) product of that table with d, taken one next city e at a time in
-the problem's own labels.  Values are packed: the tables hold B << SHIFT,
-and a candidate is (d[c][e] + B(s | e, e)) << SHIFT | e, with SHIFT = 6
-bits for the column e < 64 (ground sets hold at most 63 cities).  Packed
-values order by value first and then by e, so a running minimum alone keeps
-both the cheapest value and, as e sits in the low bits, the smallest
-optimal next city on a tie.  Those bits are then split off into the int8
-choices, and following the choices from {first} yields the
-lexicographically smallest optimal witness.
+A level's table is laid out cities x rows: its row r is column r + 1 of a
+(|top| x rows + 1) array, so every numpy call of the fill runs along the
+rows, not along the few cities.  A problem's rows are the kept sets that
+hold its first city, picked from the shared levels; a map from (problem,
+set) to row turns the shared successors into each row's, so nothing is
+sorted or searched per problem.  The gathered B(s | e, e) form a
+(cities x rows) table, and the level is the (min,+) product of d with that
+table, taken one next city e at a time in the problem's own labels.
+Values are packed: the tables hold B << SHIFT, and a candidate is
+(d[c][e] + B(s | e, e)) << SHIFT | e, with SHIFT = 6 bits for the city
+e < 64 (ground sets hold at most 63 cities).  Packed values order by value
+first and then by e, so a running minimum alone keeps both the cheapest
+value and, as e sits in the low bits, the smallest optimal next city on a
+tie.  Those bits are then split off into the int8 choices, and following
+the choices from {first} yields the lexicographically smallest optimal
+witness.
 
-A missing successor reads SENTINEL = 3 * 2^61.  Instances keep
-n * max|w| < WEIGHT_BOUND = 2^56.  A chain value sums at most n weights, so
-every packed chain value lies strictly between -2^62 and 2^62.  A packed
-weight is below 2^61 in size, so SENTINEL plus one packed weight lies
-strictly between 2^62 and 2^63.  The int64 fill therefore never overflows,
-a live candidate always beats a missing one, and a row that read only
-SENTINEL ends above ALIVE = 2^62, whatever the signs of the weights, and is
-dropped.  Only two levels of values are alive at a time, the
-(rows x cities) temporaries are cut into CHUNK-cell pieces, and _chain_dp
-cuts any stream of problems into sweeps of about BATCH_ROWS rows.
+A missing successor reads SENTINEL = 3 * 2^61, from column 0 of every
+table.  Instances keep n * max|w| < WEIGHT_BOUND = 2^56.  A chain value
+sums at most n weights, so every packed chain value lies strictly between
+-2^62 and 2^62.  A packed weight is below 2^61 in size, so SENTINEL plus
+one packed weight lies strictly between 2^62 and 2^63.  The int64 fill
+therefore never overflows, a live candidate always beats a missing one,
+and a row that read only SENTINEL ends above ALIVE = 2^62, whatever the
+signs of the weights, and is dropped.  Only two levels of values are alive
+at a time, the (cities x rows) temporaries are cut into CHUNK-cell pieces,
+and _chain_dp cuts any stream of problems into sweeps of about BATCH_ROWS
+rows.
 
 The callers differ only in the lattices and problems they hand the engine:
 
@@ -92,7 +96,7 @@ from math import comb
 
 import numpy as np
 
-from .constructions import powerset, split_system
+from .constructions import split_system
 from .cover import CoverFamily, covers_all
 from .rng import SplitMix64
 from .systems import (
@@ -102,8 +106,6 @@ from .systems import (
     image_masks,
     read_int_headers,
     split_levels,
-    submasks,
-    successor_index,
     union_product,
 )
 
@@ -115,10 +117,8 @@ LOW = (1 << SHIFT) - 1
 SENTINEL = 3 << 61  # a missing successor
 ALIVE = 1 << 62  # every packed chain value lies below, every dead candidate above
 BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
-CHUNK = 1 << 14  # cells of one (rows x cities) fill temporary
-# lattices of every subset of up to this many cities are cached: the largest
-# Gurevich-Shelah leaf group under HELD_KARP_CAP has this many
-SHARED_LATTICE = HELD_KARP_CAP // 2
+CHUNK = 1 << 14  # cells of one (cities x rows) fill temporary
+FILL_BUFSIZE = 1 << 10  # numpy's ufunc buffer size, in elements, during a sweep: see _sweep
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,6 @@ class TspInstance:
         if n * worst >= WEIGHT_BOUND:
             raise ValueError(f"n * max|weight| must stay below 2^{WEIGHT_BOUND.bit_length() - 1}")
         return TspInstance(n, tuple(padded))
-
-    def tour_value(self, tour) -> int:
-        """Cyclic cost of a tour, closing edge included."""
-        d = self.dist
-        total = d[tour[-1]][tour[0]]
-        for a, b in zip(tour, tour[1:]):
-            total += d[a][b]
-        return int(total)
 
 
 @dataclass(frozen=True)
@@ -264,13 +256,15 @@ def _orbit_answers(inst: TspInstance, base: SetSystem, members):
 
 class _Lattice:
     """The sets a sweep runs over, in column space: bit j of a mask, and
-    column j of the sweep's tables, stand for the city cities[j], and top
-    is the set of all of them.  levels[k] holds the sets of k cities as an
+    row j of the sweep's tables, stand for the city cities[j], and top is
+    the set of all of them.  levels[k] holds the sets of k cities as an
     ascending int64 array, and starts their offsets in level order.
     index[k], when present, gives where in levels[k + 1] each set of
-    levels[k] plus bit j lies, -1 where it is missing; without it the sweep
-    searches levels[k + 1] per chunk of rows, and problems over the lattice
-    carry no perm."""
+    levels[k] plus bit j lies, -1 where it is missing.  Without it, the
+    lattice holds every subset of top that holds one city, or every subset,
+    so s plus bit j is in it whenever s is and j is not in s; the sweep
+    looks such a set up by its rank, and problems over the lattice carry no
+    perm."""
 
     __slots__ = ("cities", "bits", "levels", "starts", "index")
 
@@ -293,26 +287,17 @@ class _Lattice:
     @staticmethod
     def of_cities(cities, first=None) -> "_Lattice":
         """Every subset of the ascending cities that holds first (None:
-        every subset); a problem's rows are the sets that hold its first
-        city, so any lattice with more sets serves it too.  Up to
-        SHARED_LATTICE cities, that is every subset: the sets of powerset(m)
-        in column space, cached and indexed, which all leaf groups and
-        fixed paths over m cities share.  Above it, the subsets serve one
-        call (held_karp's: up to 2^23 of them), so they are built per call
-        and searched."""
+        every subset), without an index.  A problem's rows are the sets that
+        hold its first city, so any lattice with more sets serves it too."""
         m = len(cities)
-        if m <= SHARED_LATTICE:
-            return _Lattice(cities, *_powerset_lattice(m))
-        full = (1 << m) - 1
-        masks = submasks(full) if first is None else _submasks(full, cities.index(first) + 1)
+        if first is None:
+            masks = np.arange(1 << m, dtype=np.int64)
+        else:  # the subsets of the other m - 1 columns, with a 1 slid in at first's column
+            low, fbit = np.arange(1 << (m - 1), dtype=np.int64), 1 << cities.index(first)
+            masks = low & -fbit  # the bits at and above first's column...
+            masks += low  # ...move one place up
+            masks |= fbit
         return _Lattice(cities, split_levels(masks, m))
-
-
-@cache
-def _powerset_lattice(m):
-    """The level arrays and successor index of powerset(m)."""
-    f = powerset(m)
-    return f.level_arrays(), f.successor_index()
 
 
 def _chain_dp(d, lat, problems):
@@ -342,37 +327,66 @@ def _sweep(d, lat, problems):
 
     The problem's rows are the kept sets that hold sigma^-1(first): a
     problem's rows are picked from the shared levels, never sorted or
-    searched.  Table columns are the cities of top after sigma, so a row's
-    values table[s][c] are the cheapest completions from prefix-set sigma(s)
-    ending at city c.  Levels are filled from |top| down to 1.  pos maps
-    each (problem, set) of a level to row * |top|, the flat place of its
-    row's first cell, and to -|top| when it has none, so a row's successors
-    s | e in the level above are a gather of the lattice's index, at column
-    sigma^-1(e), through pos: CHUNK // |top| rows at a time.  Adding e gives
-    the flat place of nxt[r][e] = B(s | e, e), in the last, SENTINEL row
-    where s | e has no row.  The row's values are the (min,+) product min_e
-    d[c][e] + nxt[r][e] on packed values (see the module docstring), folded
-    in one next city e at a time by one add and one minimum; a tie keeps
-    the smaller city, whose column sits in the low bits.  Those bits become
-    the int8 choices, so the stored choice is the smallest optimal next
-    city in the problem's own labels, and following the choices from
-    {first} gives the lexicographically smallest optimal order.  A row with
-    no successor read only SENTINEL, so its values stay above ALIVE, and
-    it is dropped, as no chain through it reaches top.
+    searched.  A level's table is laid out cities x rows, as a
+    (|top| x rows + 1) array: [c, r + 1] holds row r's cheapest completion
+    from its prefix-set sigma(s) ending at city c of top after sigma, and
+    column 0 is the SENTINEL column, "no row".  Levels are filled from |top|
+    down to 1.  pos maps each (problem, set) of a level to its row's
+    column, 0 when it has none.  The successors s | e of a row in the level
+    above are, CHUNK // |top| rows at a time, either looked up in a rank
+    table, for a lattice without an index, or gathered from the lattice's
+    index at column sigma^-1(e).  rank[mask] is the mask's place in its
+    level, written when that level becomes the level above and -1 before,
+    so s | e with e in s, a set of the level being filled, reads as
+    missing; it is built once per sweep, int32 over all 2^|top| masks.  Read
+    through pos, and plus e times the width of the level above, each gives
+    the flat place of nxt[e, r] = B(s | e, e).  The values are the (min,+)
+    product min_e d[c][e] + nxt[e, r] on packed values (see the module
+    docstring), folded in one next city e at a time by one add and one
+    minimum over the chunk's (c, r); a tie keeps the smaller city, which
+    sits in the low bits.  Those bits become the int8 choices, so the
+    stored choice is the smallest optimal next city in the problem's own
+    labels, and following the choices from {first} gives the
+    lexicographically smallest optimal order.  A row with no successor read
+    only SENTINEL, so its values stay above ALIVE, and it is dropped, as no
+    chain through it reaches top.
+
+    Each add of the fill broadcasts a (|top| x 1) column of steps against
+    a chunk's row of nxt.  Such a call costs about three times as much per
+    cell while the row is shorter than about a third of numpy's ufunc
+    buffer (8192 elements by default) as above it (numpy 2.4).  The sweep
+    sets the buffer to FILL_BUFSIZE elements, which moves that threshold
+    down to about 340 rows, and restores the caller's size on the way out,
+    whether it returns or raises (numpy holds the size in a context
+    variable).  The fill folds into one contiguous buffer allocated once per
+    sweep, and each chunk's values are copied into the level's table once:
+    filling a strided slice of the table directly lost the layout's gain.
+    Its candidates go to the chunk's spent gather index, which is
+    C-ordered like the buffer; a Fortran-ordered one made the fill slower.
+
     Returns one (value, order, entries) per problem: order lists the cities
     of top from first, value and order are None when no chain reaches top,
     and entries counts the table's cells.
     """
+    old_bufsize = np.setbufsize(FILL_BUFSIZE)
+    try:
+        return _sweep_levels(d, lat, problems)
+    finally:
+        np.setbufsize(old_bufsize)
+
+
+def _sweep_levels(d, lat, problems):
+    """_sweep's work, under its buffer size."""
     m, count = len(lat.bits), len(problems)
     bits, cities, levels, index = lat.bits, lat.cities, lat.levels, lat.index
     dist = np.array(d, dtype=np.int64)
     every = np.arange(m)
     firsts = np.searchsorted(cities, [p[0] for p in problems])  # columns
-    inv = None  # inv[p][e]: the lattice column that problem p labels e
+    inv = None  # inv[e][p]: the lattice column that problem p labels e
     if any(p[2] is not None for p in problems):
         perms = np.array([every if p[2] is None else p[2] for p in problems])
-        inv = np.argsort(perms, axis=1)
-    at_first = firsts if inv is None else inv[np.arange(count), firsts]
+        inv = np.ascontiguousarray(np.argsort(perms, axis=1).T)
+    at_first = firsts if inv is None else inv[firsts, np.arange(count)]
     fbits = bits[at_first]
     keep = None
     if any(p[3] is not None for p in problems):
@@ -382,16 +396,22 @@ def _sweep(d, lat, problems):
                 keep[p] = problem[3]
     # steps[e][c] = d[c][e] << SHIFT | e, so a candidate carries its next city
     steps = np.ascontiguousarray(dist[cities][:, cities].T << SHIFT | every[:, None])
-    # level m is top alone, one row per problem; pos column 0 is "no row"
-    pos = np.stack((np.full(count, -m), np.arange(count) * m), axis=1)
-    up_vals = np.full((count + 1, m), SENTINEL, dtype=np.int64)  # last: SENTINEL row
-    up_vals[:count] = dist[cities][:, [p[1] for p in problems]].T << SHIFT
+    # level m is top alone, one column per problem; pos column 0 is "no row"
+    pos = np.stack((np.zeros(count, dtype=np.int64), np.arange(1, count + 1)), axis=1)
+    up_vals = np.full((m, count + 1), SENTINEL, dtype=np.int64)
+    up_vals[:, 1:] = dist[cities][:, [p[1] for p in problems]] << SHIFT
     entries = np.full(count, m, dtype=np.int64)
     pos_at, choices_at = [None] * (m + 1), [None] * m
     span = max(1, CHUNK // m)
+    cells = m * min(span, count * max(map(len, levels)))
+    v_buf = np.empty(cells, dtype=np.int64)
+    column_bits = bits[:, None]
+    rank = np.full(1 << m, -1, dtype=np.int32) if index is None else None
     for k in range(m - 1, 0, -1):
         level = levels[k]
-        if len(up_vals) > 1:  # some row above reaches top
+        if rank is not None:
+            rank[levels[k + 1]] = np.arange(len(levels[k + 1]), dtype=np.int32)
+        if up_vals.shape[1] > 1:  # some row above reaches top
             sel = (level & fbits[:, None]) != 0
             if keep is not None:
                 sel &= keep[:, lat.starts[k]:lat.starts[k + 1]]
@@ -399,70 +419,69 @@ def _sweep(d, lat, problems):
         else:
             rp = ri = np.zeros(0, dtype=np.int64)
         rows = len(rp)
-        vals = np.empty((rows + 1, m), dtype=np.int64)
-        choices = np.empty((rows, m), dtype=np.int8)
+        vals = np.empty((m, rows + 1), dtype=np.int64)
+        choices = np.empty((m, rows), dtype=np.int8)
         stride, pos_flat = pos.shape[1], pos.ravel()
+        up_flat, e_places = up_vals.ravel(), every[:, None] * up_vals.shape[1]
         for lo in range(0, rows, span):
             rp_c, ri_c = rp[lo:lo + span], ri[lo:lo + span]
-            if index is None:  # a searched lattice: every problem keeps its labels
-                succ = successor_index(level[ri_c], levels[k + 1], bits)
+            width = len(rp_c)
+            if rank is not None:  # succ[e, r]: where s | e lies in the level above, or -1
+                succ = rank.take(level[ri_c] | column_bits)
             elif inv is None:
-                succ = index[k][ri_c]
+                succ = index[k].ravel().take(ri_c * m + every[:, None])
             else:  # flat takes: fancy 2-d indexing costs about twice as much
-                succ = index[k].ravel().take(ri_c[:, None] * m + inv[rp_c])
-            up = pos_flat.take((rp_c * stride + 1)[:, None] + succ)
-            up += every
-            nxt = up_vals.ravel().take(up)  # nxt[r, e] = B(s | e, e), or SENTINEL
-            v, ch = vals[lo:lo + len(up)], choices[lo:lo + len(up)]
-            cand = up  # spent: it holds each next city's candidates
-            np.add(nxt[:, :1], steps[0], out=v)
+                succ = index[k].ravel().take(ri_c * m + inv[:, rp_c])
+            up = pos_flat.take(succ + (rp_c * stride + 1))  # column of s | e, or 0
+            del succ
+            up += e_places
+            nxt = up_flat.take(up)  # nxt[e, r] = B(s | e, e), or SENTINEL
+            v = v_buf[:m * width].reshape(m, width)
+            cand = up  # spent, and C-ordered like v: it holds each next city's candidates
+            np.add(steps[0][:, None], nxt[0], out=v)
             for e in range(1, m):
-                np.add(nxt[:, e:e + 1], steps[e], out=cand)
+                np.add(steps[e][:, None], nxt[e], out=cand)
                 np.minimum(v, cand, out=v)  # a tie keeps the smaller city
             np.bitwise_and(v, LOW, out=cand)
-            ch[...] = cand
+            choices[:, lo:lo + width] = cand
             v -= cand
-            del succ, up, nxt, cand  # freed before the next chunk allocates
-        up_vals = None  # read in full: free it before this level is compacted
-        alive = vals[:rows, 0] < ALIVE  # a row with no successor read only SENTINEL
+            vals[:, 1 + lo:1 + lo + width] = v
+            del up, nxt, cand  # freed before the next chunk allocates
+        up_vals = up_flat = None  # read in full: free it before this level is compacted
+        alive = vals[0, 1:] < ALIVE  # a row with no successor read only SENTINEL
         if not alive.all():
             kept = np.flatnonzero(alive)
-            rp, ri, choices = rp[kept], ri[kept], choices[kept]
-            vals = vals[np.append(kept, rows)]
-        vals[-1] = SENTINEL
-        pos = np.full((count, len(level) + 1), -m, dtype=np.int64)
-        pos[rp, ri + 1] = np.arange(0, len(rp) * m, m)
+            rp, ri, choices = rp[kept], ri[kept], choices[:, kept]
+            vals = vals[:, np.append(0, kept + 1)]
+        vals[:, 0] = SENTINEL
+        pos = np.zeros((count, len(level) + 1), dtype=np.int64)
+        pos[rp, ri + 1] = np.arange(1, len(rp) + 1)
         up_vals = vals
         pos_at[k], choices_at[k] = pos, choices
         entries += np.bincount(rp, minlength=count) * k
     # up_vals holds level 1 now; walk from each {first} found there, reading
-    # a row's cell (row, col) at flat place pos + col
+    # the choice of the row in column at, ending at city col, at
+    # choices[col, at - 1]
     key = fbits
-    at = np.full(count, -1)
+    at = np.zeros(count, dtype=np.int64)
     if len(levels[1]):
         i = np.minimum(np.searchsorted(levels[1], key), len(levels[1]) - 1)
-        at = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], -1)
-    solved = np.flatnonzero(at >= 0)
+        at = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], 0)
+    solved = np.flatnonzero(at)
     at, key, col = at[solved], key[solved], firsts[solved]
-    values = up_vals.ravel()[at + col] >> SHIFT
+    values = up_vals[col, at] >> SHIFT
     order = np.empty((len(solved), m), dtype=np.int64)
     order[:, 0] = cities[col]
     for k in range(1, m):
-        col = choices_at[k].ravel()[at + col]
+        col = choices_at[k][col, at - 1]
         order[:, k] = cities[col]
         if k + 1 < m:
-            key = key | bits[col if inv is None else inv[solved, col]]
+            key = key | bits[col if inv is None else inv[col, solved]]
             at = pos_at[k + 1][solved, np.searchsorted(levels[k + 1], key) + 1]
     out = [(None, None, e) for e in entries.tolist()]
     for p, value, tour in zip(solved.tolist(), values.tolist(), order.tolist()):
         out[p] = value, tuple(tour), out[p][2]
     return out
-
-
-def _submasks(top, first):
-    """Every subset of top that holds first, ascending, as an int64 array."""
-    fbit = 1 << (first - 1)
-    return submasks(top & ~fbit) | fbit
 
 
 def _fixed_path(d, cities, a, b):
@@ -668,13 +687,6 @@ def framework_solver(
 
 # ---------------------------------------------------------------------------
 # instance file format: line 1 "n <n>", then n rows of n integers.
-
-
-def dump_instance(inst: TspInstance, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"n {inst.n}\n")
-        for i in range(1, inst.n + 1):
-            fh.write(" ".join(str(inst.dist[i][j]) for j in range(1, inst.n + 1)) + "\n")
 
 
 def load_instance(path) -> TspInstance:

@@ -218,8 +218,14 @@ class SetSystem:
     def mask_set(self) -> frozenset:
         """The masks as a frozenset; built on the first call and cached."""
         if self._mask_set is None:
-            self._mask_set = frozenset(np.concatenate(self._arrays).tolist())
+            self._mask_set = frozenset(self._mask_ints())
         return self._mask_set
+
+    def _mask_ints(self):
+        """The masks as Python ints, in no fixed order.  When successors()
+        is cached, its keys are the masks, so a view built later shares
+        their int objects instead of making one more per set."""
+        return self._succ if self._succ is not None else np.concatenate(self._arrays).tolist()
 
     def __eq__(self, other) -> bool:
         return (
@@ -257,7 +263,7 @@ class SetSystem:
     def elements(self) -> dict:
         """mask -> tuple of its 1-based elements; cached."""
         if self._elems is None:
-            self._elems = {m: elems_of(m) for m in np.concatenate(self._arrays).tolist()}
+            self._elems = {m: elems_of(m) for m in self._mask_ints()}
         return self._elems
 
     def level_arrays(self) -> tuple:

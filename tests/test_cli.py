@@ -11,8 +11,14 @@ from chainfold.cli import main
 from chainfold.constructions import powerset
 from chainfold.cover import load_family
 from chainfold.rng import SplitMix64
-from chainfold.solver import WEIGHT_BOUND, TspInstance, brute_force, dump_instance, random_instance
+from chainfold.solver import WEIGHT_BOUND, TspInstance, brute_force, random_instance
 from chainfold.systems import dump_system
+
+
+def write_instance(inst, path):
+    """An instance file: "n <n>", then the n rows of the distance matrix."""
+    rows = (" ".join(map(str, row[1:])) for row in inst.dist[1:])
+    Path(path).write_text(f"n {inst.n}\n" + "".join(row + "\n" for row in rows))
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +30,7 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def instance8(tmp_path):
     path = tmp_path / "ex8.tsp"
-    dump_instance(random_instance(8, 42), path)
+    write_instance(random_instance(8, 42), path)
     return str(path)
 
 
@@ -104,7 +110,7 @@ def test_solve_at_the_weight_bound(capsys, tmp_path):
     gen = SplitMix64(n)
     weights = (big, -big, big - 1)
     inst = TspInstance.from_rows([[weights[gen.randbelow(3)] for _ in range(n)] for _ in range(n)])
-    dump_instance(inst, path)
+    write_instance(inst, path)
     ref = brute_force(inst)
     expected = [f"value {ref.value}", "tour " + " ".join(map(str, ref.tour))]
     for alg in ("brute", "bhk", "warmup"):  # 70 trials: every split of 8 cities
@@ -115,7 +121,7 @@ def test_solve_at_the_weight_bound(capsys, tmp_path):
 def test_solve_framework_block_size(capsys, tmp_path):
     path = tmp_path / "ex9.tsp"
     inst = random_instance(9, 5)
-    dump_instance(inst, path)
+    write_instance(inst, path)
     argv = ["solve", "--alg", "framework", "--instance", str(path), "--block-size"]
     code, out = run_cli(capsys, *argv, "3")
     ref = brute_force(inst)
@@ -143,7 +149,7 @@ def test_non_integer_env_seed_exits_2(capsys, monkeypatch):
 
 def test_solve_cap_violation_exits_3(capsys, tmp_path):
     path = tmp_path / "big.tsp"
-    dump_instance(random_instance(25, 0), path)
+    write_instance(random_instance(25, 0), path)
     code, _ = run_cli(capsys, "solve", "--alg", "bhk", "--instance", str(path))
     assert code == 3
 
@@ -151,7 +157,7 @@ def test_solve_cap_violation_exits_3(capsys, tmp_path):
 def test_solve_gs_cap_violation_exits_3(capsys, tmp_path):
     # refused before the recursion builds its first table
     path = tmp_path / "big.tsp"
-    dump_instance(random_instance(25, 0), path)
+    write_instance(random_instance(25, 0), path)
     for depth in ("0", "2"):
         argv = ["solve", "--alg", "gs", "--depth", depth, "--instance", str(path)]
         code, out = run_cli(capsys, *argv)
@@ -395,7 +401,7 @@ def test_eval_tsp_over_state_budget_exits_3_before_sweeping(capsys, tmp_path, mo
 
     monkeypatch.setattr(semiring, "_dp_over_masks", never)
     path = tmp_path / "ex19.tsp"
-    dump_instance(random_instance(19, 0), path)
+    write_instance(random_instance(19, 0), path)
     code, out = run_cli(capsys, "eval", "--problem", "tsp", "--instance", str(path))
     assert code == 3 and out == ""
 
@@ -482,7 +488,10 @@ def test_verify_timings_go_to_stderr(capsys, monkeypatch):
     assert "  metrics in < 1s: True" in out1.splitlines()
     assert err1 != err2
     for err in (err1, err2):
-        assert "gate metrics" in err and "of 1s (" in err
+        lines = err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("kp ") for line in lines)
+        assert lines[0].startswith("kp elapsed ") and lines[0].endswith("s")
+        assert lines[1].startswith("kp gate metrics ") and "of 1s (" in lines[1]
 
 
 def test_verify_unknown_suite_exits_2(capsys):

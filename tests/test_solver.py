@@ -26,7 +26,6 @@ from chainfold.solver import (
     _fixed_path,
     _path_brute,
     brute_force,
-    dump_instance,
     framework_solver,
     gurevich_shelah,
     held_karp,
@@ -41,6 +40,12 @@ from chainfold.systems import CapError, FormatError, SetSystem, mask_of, prefix_
 
 SEEDS = range(5)
 SIZES = range(4, 9)
+
+
+def tour_value(inst, tour):
+    """Cyclic cost of a tour, closing edge included."""
+    d = inst.dist
+    return d[tour[-1]][tour[0]] + sum(d[a][b] for a, b in zip(tour, tour[1:]))
 
 
 def _instance(n, seed, low, high):
@@ -104,7 +109,7 @@ def test_held_karp_matches_brute(n, max_weight):
         b, h = brute_force(inst), held_karp(inst)
         assert h.value == b.value
         assert h.tour == b.tour
-        assert inst.tour_value(h.tour) == h.value
+        assert tour_value(inst, h.tour) == h.value
 
 
 def test_held_karp_equal_weights():
@@ -129,24 +134,31 @@ def test_held_karp_table_entries(n):
     assert held_karp(random_instance(n, n)).table_entries == 2 ** (n - 1) * (n - 1) + 1
 
 
+def _indexed_lattice(cities):
+    """Every subset of the ascending cities as a cached-index lattice: the
+    level arrays and successor index of powerset(len(cities))."""
+    f = powerset(len(cities))
+    return _Lattice(cities, f.level_arrays(), f.successor_index())
+
+
 @pytest.mark.parametrize("k", range(3, 8))
-def test_path_dp_matches_path_brute_on_every_endpoint_pair(k, monkeypatch):
+def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
     # weights in {1, 2} tie often, so the lexicographically smallest witness
     # is checked along with the value; a == b is the closed-tour case.  The
-    # sweep runs over the cached powerset lattice, and over the lattice of
-    # the subsets that hold a, built per call as for more cities
-    from chainfold import solver
-
-    for shared in (solver.SHARED_LATTICE, 0):
-        monkeypatch.setattr(solver, "SHARED_LATTICE", shared)
-        for seed in range(4):
-            inst = random_instance(9, seed * 13 + k, max_weight=2)
-            cities = SplitMix64(seed).sample(9, k)
-            for a in cities:
-                for b in cities:
-                    # b follows the last city, so it lies outside the path's cities
-                    path = cities if a == b else [c for c in cities if c != b]
-                    assert _fixed_path(inst.dist, path, a, b) == _path_brute(inst.dist, path, a, b)
+    # sweep runs over the rank lattice of the subsets that hold a, as
+    # _fixed_path builds it, and over powerset(k)'s cached-index lattice
+    for seed in range(4):
+        inst = random_instance(9, seed * 13 + k, max_weight=2)
+        cities = SplitMix64(seed).sample(9, k)
+        for a in cities:
+            for b in cities:
+                # b follows the last city, so it lies outside the path's cities
+                path = cities if a == b else [c for c in cities if c != b]
+                expected = _path_brute(inst.dist, path, a, b)
+                assert _fixed_path(inst.dist, path, a, b) == expected
+                lat = _indexed_lattice(sorted(path))
+                [(value, order, _)] = _chain_dp(inst.dist, lat, [(a, b, None, None)])
+                assert (value, order) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,7 +188,7 @@ def test_restricted_matches_supported_permutations_differential(data):
     for _ in range(data.draw(st.integers(0, 3))):
         masks |= set(prefix_chain(data.draw(st.permutations(range(1, n + 1)))))
     f = SetSystem(n, masks)
-    tours = [(inst.tour_value(p), p) for p in permutations(range(1, n + 1)) if supports(f, p)]
+    tours = [(tour_value(inst, p), p) for p in permutations(range(1, n + 1)) if supports(f, p)]
     sol = restricted_dp(inst, f)
     if tours:
         assert (sol.value, sol.tour) == min(tours)
@@ -197,7 +209,7 @@ def test_restricted_on_identity_chain():
     inst = random_instance(6, 99)
     sol = restricted_dp(inst, single_chain(6))
     ident = tuple(range(1, 7))
-    assert sol.tour == ident and sol.value == inst.tour_value(ident)
+    assert sol.tour == ident and sol.value == tour_value(inst, ident)
 
 
 def test_restricted_on_empty_system_infeasible():
@@ -222,7 +234,7 @@ def test_restricted_never_beats_held_karp_and_is_monotone():
         sol_big = restricted_dp(inst, bigger)
         if sol_small is not None:
             assert sol_small.value >= hk
-            assert inst.tour_value(sol_small.tour) == sol_small.value
+            assert tour_value(inst, sol_small.tour) == sol_small.value
             assert sol_big is not None and sol_big.value <= sol_small.value
 
 
@@ -249,7 +261,7 @@ def test_restricted_matches_supported_enumeration_oracle(low, high):
         masks = {gen.randbelow(1 << n) for _ in range(gen.randbelow(3 * n) + 2)}
         f = SetSystem(n, masks | set(prefix_chain(gen.permutation(n))))
         expected = min(
-            (inst.tour_value(p), p) for p in permutations(range(1, n + 1)) if supports(f, p)
+            (tour_value(inst, p), p) for p in permutations(range(1, n + 1)) if supports(f, p)
         )
         sol = restricted_dp(inst, f)
         assert (sol.value, sol.tour) == expected
@@ -270,7 +282,7 @@ def test_restricted_on_wide_ground_sets():
         inst = _instance(n, n, 1, 3)
         f = SetSystem(n, {m for _ in range(4) for m in prefix_chain(gen.permutation(n))})
         sol = restricted_dp(inst, f)
-        assert (sol.value, sol.tour) == min((inst.tour_value(p), p) for p in supported(f))
+        assert (sol.value, sol.tour) == min((tour_value(inst, p), p) for p in supported(f))
 
 
 def test_restricted_ties_between_cities_past_32():
@@ -284,7 +296,7 @@ def test_restricted_ties_between_cities_past_32():
     f = SetSystem(n, chain + [chain[-1] | t << head for t in range(1 << (n - head))])
     head_tour = tuple(range(1, head + 1))
     expected = min(
-        (inst.tour_value(head_tour + p), head_tour + p)
+        (tour_value(inst, head_tour + p), head_tour + p)
         for p in permutations(range(head + 1, n + 1))
     )
     sol = restricted_dp(inst, f)
@@ -305,7 +317,7 @@ def test_restricted_drops_sets_with_no_successor(low, high):
     live = set(prefix_chain((1, 3, 4, 2, 5)))
     dead = {mask_of({2}), mask_of({1, 2}), mask_of({1, 2, 5})}
     sol = restricted_dp(inst, SetSystem(n, live | dead))
-    assert (sol.value, sol.tour) == (inst.tour_value((1, 3, 4, 2, 5)), (1, 3, 4, 2, 5))
+    assert (sol.value, sol.tour) == (tour_value(inst, (1, 3, 4, 2, 5)), (1, 3, 4, 2, 5))
     assert sol.table_entries == 5 + 4 + 3 + 2 + 1
     assert restricted_dp(inst, SetSystem(n, dead | {0, (1 << n) - 1, mask_of({1, 2, 3, 4})})) is None
 
@@ -322,7 +334,7 @@ def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
     weights = (big, -big) if signs == "mixed" else (big, big - 1)
     gen = SplitMix64(70 + n)
     inst = TspInstance.from_rows([[weights[gen.randbelow(2)] for _ in range(n)] for _ in range(n)])
-    tours = [(inst.tour_value(p), p) for p in permutations(range(1, n + 1))]
+    tours = [(tour_value(inst, p), p) for p in permutations(range(1, n + 1))]
     best = min(tours)
     assert best[1][0] == 1  # every rotation costs the same, so city 1 leads
     for sol in (held_karp(inst), restricted_dp(inst, powerset(n))):
@@ -383,27 +395,61 @@ def test_gs_batched_leaves_match_held_karp(n, low, high):
 
 
 @pytest.mark.parametrize("k", (7, 8))
-def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k, monkeypatch):
+def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k):
     # the two shapes of a leaf group: one first city with many last cities
     # (a path's first half), many first cities with one last city (its rest),
-    # swept over the cached powerset lattice and over the lattices built per
-    # call for more cities: every subset, or the subsets that hold the one
-    # first city
-    from chainfold import solver
-
+    # swept over the rank lattices of every subset and of the subsets that
+    # hold the one first city, and over powerset(k)'s cached-index lattice
     inst = _instance(2 * k, k, 1, 2)
     cities = sorted(SplitMix64(k).sample(2 * k, k))
     outside = [c for c in range(1, 2 * k + 1) if c not in cities]
     shapes = ([(cities[0], b) for b in outside], [(a, outside[0]) for a in cities])
     expected = [[_fixed_path(inst.dist, cities, a, b) for a, b in ends] for ends in shapes]
-    for shared in (solver.SHARED_LATTICE, 0):
-        monkeypatch.setattr(solver, "SHARED_LATTICE", shared)
-        lattices = (_Lattice.of_cities(cities), _Lattice.of_cities(cities, cities[0]))
-        assert (lattices[0].index is None) == (shared == 0)
-        for ends, paths in zip(shapes, expected):
-            for lat in lattices[:1 + (ends[0][0] == ends[1][0])]:
-                got = list(_chain_dp(inst.dist, lat, [(a, b, None, None) for a, b in ends]))
-                assert [(value, order) for value, order, _ in got] == paths
+    every, holding_first = _Lattice.of_cities(cities), _Lattice.of_cities(cities, cities[0])
+    indexed = _indexed_lattice(cities)
+    assert every.index is None and holding_first.index is None and indexed.index is not None
+    for ends, paths in zip(shapes, expected):
+        one_first = ends[0][0] == ends[1][0]
+        for lat in (every, indexed, holding_first) if one_first else (every, indexed):
+            got = list(_chain_dp(inst.dist, lat, [(a, b, None, None) for a, b in ends]))
+            assert [(value, order) for value, order, _ in got] == paths
+
+
+@pytest.mark.parametrize("n", (13, 14))
+def test_held_karp_matches_restricted_dp_over_the_powerset(n):
+    # held_karp sweeps the rank lattice of the subsets that hold city 1;
+    # restricted_dp sweeps powerset(n)'s cached index from every first city.
+    # Weights in {-1, 0, 1} tie on most tours, so the witnesses must agree
+    for seed in range(3):
+        inst = _instance(n, seed, -1, 1)
+        h, r = held_karp(inst), restricted_dp(inst, powerset(n))
+        assert (h.value, h.tour) == (r.value, r.tour)
+
+
+def test_chain_dp_restores_numpy_buffer_size(monkeypatch):
+    # a sweep runs under FILL_BUFSIZE and puts the caller's size back, also
+    # when it raises (here: a ragged distance matrix)
+    from chainfold import solver
+
+    inst = random_instance(6, 0)
+    lat = _Lattice.of_cities(list(range(1, 7)))
+    expected = held_karp(inst).value
+    seen = []
+    levels = solver._sweep_levels
+
+    def recording(*args):
+        seen.append(np.getbufsize())
+        return levels(*args)
+
+    monkeypatch.setattr(solver, "_sweep_levels", recording)
+    before = np.getbufsize()
+    assert before != solver.FILL_BUFSIZE
+    assert list(_chain_dp(inst.dist, lat, [(1, 1, None, None)]))[0][0] == expected
+    assert np.getbufsize() == before
+    with pytest.raises(ValueError):
+        list(_chain_dp([[0, 1], [1]], lat, [(1, 1, None, None)]))
+    assert np.getbufsize() == before
+    assert seen == [solver.FILL_BUFSIZE] * 2
 
 
 def test_gs_cap():
@@ -774,7 +820,8 @@ def test_instance_rejects_overflow_weights():
 def test_instance_roundtrip(tmp_path):
     inst = random_instance(5, 123)
     path = tmp_path / "inst.tsp"
-    dump_instance(inst, path)
+    rows = (" ".join(map(str, row[1:])) for row in inst.dist[1:])
+    path.write_text(f"n {inst.n}\n" + "".join(row + "\n" for row in rows))
     assert load_instance(path) == inst
 
 

@@ -105,6 +105,21 @@ def assert_constructor_matches_reference(n, masks):
         assert f.mask_set() is f.mask_set()  # built once, then cached
 
 
+def test_views_share_the_successor_maps_ints():
+    # built after successors(), mask_set() and elements() hold the map's key
+    # objects rather than a fresh int per set; built first, they hold their own
+    f = powerset(10)
+    keys = {id(m) for m in f.successors()}
+    assert f.mask_set() == frozenset(range(1 << 10))
+    assert f.elements() == {m: elems_of(m) for m in range(1 << 10)}
+    assert all(id(m) in keys for m in f.mask_set())
+    assert all(id(m) in keys for m in f.elements())
+    g = powerset(10)
+    assert g.mask_set() == f.mask_set() and g.elements() == f.elements()
+    keys = {id(m) for m in g.successors()}
+    assert not any(id(m) in keys for m in g.mask_set() if m > 256)  # small ints are shared anyway
+
+
 def test_constructor_leaves_its_input_array_alone():
     for masks in ([0, 1, 3, 7], [7, 3, 3, 0]):
         arr = np.array(masks, dtype=np.int64)
