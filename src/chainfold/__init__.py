@@ -7,7 +7,6 @@ from .systems import (
     FormatError,
     Metrics,
     SetSystem,
-    closure_from_permutations,
     count_chains,
     induced_split,
     metrics,
@@ -24,7 +23,6 @@ __all__ = [
     "FormatError",
     "Metrics",
     "SetSystem",
-    "closure_from_permutations",
     "count_chains",
     "induced_split",
     "metrics",

@@ -198,14 +198,6 @@ def optimal_lower_k(s: float) -> tuple[int, float]:
     return best_k, best
 
 
-def interpolate(s1: float, p1: float, s2: float, p2: float, mu: float):
-    """Geometric interpolation (union-product mixing) of two feasible
-    (S, P) points."""
-    if not 0 <= mu <= 1:
-        raise ValueError(f"mixing weight {mu} outside [0, 1]")
-    return s1**mu * s2 ** (1 - mu), p1**mu * p2 ** (1 - mu)
-
-
 @dataclass(frozen=True)
 class TradeoffPoint:
     """A feasible (space base, time base) pair with a provenance label."""

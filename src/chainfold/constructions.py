@@ -198,28 +198,6 @@ def banded_prefix_system(n: int, alpha: float, beta: float, gamma: float) -> Set
     return SetSystem(n, np.concatenate(parts))
 
 
-def banded_permutation_predicate(n: int, alpha: float, beta: float, gamma: float):
-    """The permutation-level membership test behind banded_prefix_system,
-    for closure-oracle cross-checks at small n."""
-    h = n // 2
-    an, bn, gn = _floored(n, alpha), _floored(n, beta), _floored(n, gamma)
-    left2 = set(range(1, an + 1))
-    left1 = set(range(1, h + 1))
-    right1 = set(range(h + 1, n + 1))
-    right2 = set(range(n - an + 1, n + 1))
-
-    def ok(perm) -> bool:
-        if any(v not in left2 for v in perm[:bn]):
-            return False
-        if bn and any(v not in right2 for v in perm[-bn:]):
-            return False
-        if sum(1 for v in perm[:h] if v in left1) < gn:
-            return False
-        return sum(1 for v in perm[h:] if v in right1) >= gn
-
-    return ok
-
-
 def core_prefix_system(n: int, alpha: float, beta: float) -> SetSystem:
     """Minimal system supporting all permutations whose first floor(beta*n)
     entries lie in the core L = [1..floor(alpha*n)].

@@ -328,9 +328,6 @@ class Poset:
                 raise ValueError(f"relation is cyclic at element {b}")
         return Poset(n, tuple(preds[1:]))
 
-    def precedes(self, a: int, b: int) -> bool:
-        return bool(self.pred_masks[b - 1] >> (a - 1) & 1)
-
     def extends(self, perm) -> bool:
         """True iff perm lists every element after all its predecessors."""
         seen = 0
@@ -371,17 +368,6 @@ def count_linear_extensions_brute(poset: Poset) -> int:
 # ---------------------------------------------------------------------------
 # poset file format: line 1 "n <n>", then one "a < b" line per covering
 # relation; transitive closure is computed on load.
-
-
-def dump_poset(poset: Poset, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"n {poset.n}\n")
-        for b in range(1, poset.n + 1):
-            rest = poset.pred_masks[b - 1]
-            while rest:
-                bit = rest & -rest
-                fh.write(f"{bit.bit_length()} < {b}\n")
-                rest ^= bit
 
 
 def load_poset(path) -> Poset:

@@ -17,19 +17,19 @@ s | e is in it whenever e is not in s, so the sweep looks it up in a rank
 table over all 2^|top| masks, int32, that holds each set's place within its
 level (64 MiB at held_karp's cap of 24 cities).
 
-A problem (first, last, perm, keep) asks for the cheapest chain from {first}
-up to top through the lattice's sets, relabeled by perm and filtered by
-keep, closing at last.  B(s, c) = cheapest completion of a chain whose
-prefix-set is s and whose last city is c, held in int64 rows, one per
-(problem, set), filled one popcount level at a time from the top set down.
-A level's table is laid out cities x rows: its row r is column r + 1 of a
-(|top| x rows + 1) array, so every numpy call of the fill runs along the
-rows, not along the few cities.  A problem's rows are the kept sets that
-hold its first city, picked from the shared levels; a map from (problem,
-set) to row turns the shared successors into each row's, so nothing is
-sorted or searched per problem.  The gathered B(s | e, e) form a
-(cities x rows) table, and the level is the (min,+) product of d with that
-table, taken one next city e at a time in the problem's own labels.
+A problem (first, last, perm) asks for the cheapest chain from {first} up
+to top through the lattice's sets, relabeled by perm, closing at last.
+B(s, c) = cheapest completion of a chain whose prefix-set is s and whose
+last city is c, held in int64 rows, one per (problem, set), filled one
+popcount level at a time from the top set down.  A level's table is laid
+out cities x rows: its row r is column r + 1 of a (|top| x rows + 1) array,
+so every numpy call of the fill runs along the rows, not along the few
+cities.  A problem's rows are the sets that hold its first city, picked
+from the shared levels; a map from (problem, set) to row turns the shared
+successors into each row's, so nothing is sorted or searched per problem.
+The gathered B(s | e, e) form a (cities x rows) table, and the level is the
+(min,+) product of d with that table, taken one next city e at a time in
+the problem's own labels.
 Values are packed: the tables hold B << SHIFT, and a candidate is
 (d[c][e] + B(s | e, e)) << SHIFT | e, with SHIFT = 6 bits for the city
 e < 64 (ground sets hold at most 63 cities).  Packed values order by value
@@ -73,15 +73,15 @@ The callers differ only in the lattices and problems they hand the engine:
     perm over the base's lattice, built and indexed once per call.  The
     split solver's base is split_system(n, {1..floor(n/2)}, t), and a split
     is the relabeling that sends 1..floor(n/2) onto its chosen cities.  The
-    framework's base is the union product of its families' bases, an index
-    tuple the blockwise relabeling, and unique-mode removed sets become the
-    tuple's keep filter.  Table columns are cities in the member's labels,
-    so ties break as on the built system: values, tours and table entries
-    equal one restricted_dp per built system.  The answers are folded into
-    the best tour as they arrive; table_entries is the largest table the
-    run filled.  The split solver rotates each tour to start at city 1
-    first; restricted_dp keeps the rotation it solved, so every prefix of
-    its tour lies in f.
+    framework's base is the union product of its families' bases, and an
+    index tuple the blockwise relabeling.  Table columns are cities in the
+    member's labels, so ties break as on the built system: values, tours and
+    table entries equal one restricted_dp per built system.  A unique-mode
+    family is solved over its plain relabelings, supersets of its members
+    (see framework_solver).  The answers are folded into the best tour as
+    they arrive; table_entries is the largest table the run filled.  The
+    split solver rotates each tour to start at city 1 first; restricted_dp
+    keeps the rotation it solved, so every prefix of its tour lies in f.
 
 brute_force enumerates all (n-1)! tours with numpy as the ground-truth
 oracle.  gurevich_shelah solves the tour as the path from city 1 back to
@@ -103,7 +103,6 @@ from .systems import (
     CapError,
     FormatError,
     SetSystem,
-    image_masks,
     read_int_headers,
     split_levels,
     union_product,
@@ -204,7 +203,7 @@ def restricted_dp(inst: TspInstance, f: SetSystem):
     nothing; table_entries is the largest of their tables."""
     if f.n != inst.n:
         raise ValueError(f"system over [{f.n}] vs instance with {inst.n} cities")
-    return _fold(_orbit_answers(inst, f, [(None, None)]))
+    return _fold(_orbit_answers(inst, f, [None]))
 
 
 def _fold(answers, from_city_1=False):
@@ -227,29 +226,23 @@ def _fold(answers, from_city_1=False):
     return None if best is None else Solution(*best, peak)
 
 
-def _orbit_answers(inst: TspInstance, base: SetSystem, members):
+def _orbit_answers(inst: TspInstance, base: SetSystem, perms):
     """Answers of the restricted DP over every member of an orbit of base,
     one per first city, as one problem stream over base's lattice.  A member
-    (perm, keep) is the system relabel(base, sigma), sigma(j + 1) =
-    perm[j] + 1 (perm None: the identity), without the sets whose keep
-    entry, in base's level order, is False (keep None: all sets).  Members
-    drawn lazily; a member that lacks the empty or the full set has no
-    tour and no problem."""
+    perm is the system relabel(base, sigma), sigma(j + 1) = perm[j] + 1
+    (None: the identity); the perms are drawn lazily.  A base that lacks
+    the empty or the full set has no tour and no problem."""
     arrays = base.level_arrays()
     if not (len(arrays[0]) and len(arrays[-1])):
         return
     lat = _Lattice.of_system(base)
     cols = [int(s).bit_length() - 1 for s in lat.levels[1]]  # each {first}'s column
-    at = lat.starts[1] + np.arange(len(cols))  # and its place in keep
 
     def problems():
-        for perm, keep in members:
-            if keep is not None and not (keep[0] and keep[-1]):
-                continue
-            for j, i in zip(cols, at):
-                if keep is None or keep[i]:
-                    c = int(lat.cities[j if perm is None else perm[j]])
-                    yield c, c, perm, keep
+        for perm in perms:
+            for j in cols:
+                c = int(lat.cities[j if perm is None else perm[j]])
+                yield c, c, perm
 
     yield from _chain_dp(inst.dist, lat, problems())
 
@@ -258,7 +251,7 @@ class _Lattice:
     """The sets a sweep runs over, in column space: bit j of a mask, and
     row j of the sweep's tables, stand for the city cities[j], and top is
     the set of all of them.  levels[k] holds the sets of k cities as an
-    ascending int64 array, and starts their offsets in level order.
+    ascending int64 array, and size counts the sets of every level.
     index[k], when present, gives where in levels[k + 1] each set of
     levels[k] plus bit j lies, -1 where it is missing.  Without it, the
     lattice holds every subset of top that holds one city, or every subset,
@@ -266,18 +259,14 @@ class _Lattice:
     looks such a set up by its rank, and problems over the lattice carry no
     perm."""
 
-    __slots__ = ("cities", "bits", "levels", "starts", "index")
+    __slots__ = ("cities", "bits", "levels", "size", "index")
 
     def __init__(self, cities, levels, index=None):
         self.cities = np.array(cities, dtype=np.int64)
         self.bits = np.int64(1) << np.arange(len(self.cities), dtype=np.int64)
         self.levels = levels
-        self.starts = np.concatenate(([0], np.cumsum([len(lv) for lv in levels])))
+        self.size = sum(map(len, levels))
         self.index = index
-
-    @property
-    def size(self) -> int:
-        return int(self.starts[-1])
 
     @staticmethod
     def of_system(f: SetSystem) -> "_Lattice":
@@ -301,9 +290,9 @@ class _Lattice:
 
 
 def _chain_dp(d, lat, problems):
-    """Answer chain problems (first, last, perm, keep) over one lattice and
-    one d, one (value, order, entries) per problem, in order.  The problems,
-    any iterable, are cut into _sweep calls of about BATCH_ROWS rows, each
+    """Answer chain problems (first, last, perm) over one lattice and one d,
+    one (value, order, entries) per problem, in order.  The problems, any
+    iterable, are cut into _sweep calls of about BATCH_ROWS rows, each
     problem counting the lattice's size."""
     batch, rows = [], 0
     for problem in problems:
@@ -317,21 +306,19 @@ def _chain_dp(d, lat, problems):
 
 
 def _sweep(d, lat, problems):
-    """Solve a list of chain problems (first, last, perm, keep) over one
-    lattice in one level sweep.  A problem asks for the cheapest chain from
-    {first} up to top through the sets sigma(s), s a set of the lattice
-    with keep (a bool per set, in level order; None keeps all), where
-    sigma maps column j to column perm[j] (None: the identity).  It pays
-    d[c][e] for each step that adds city e after city c and d[c][last]
-    after the last city c of top, the set of the lattice's cities.
+    """Solve a list of chain problems (first, last, perm) over one lattice
+    in one level sweep.  A problem asks for the cheapest chain from {first}
+    up to top through the sets sigma(s), s a set of the lattice, where sigma
+    maps column j to column perm[j] (None: the identity).  It pays d[c][e]
+    for each step that adds city e after city c and d[c][last] after the
+    last city c of top, the set of the lattice's cities.
 
-    The problem's rows are the kept sets that hold sigma^-1(first): a
-    problem's rows are picked from the shared levels, never sorted or
-    searched.  A level's table is laid out cities x rows, as a
-    (|top| x rows + 1) array: [c, r + 1] holds row r's cheapest completion
-    from its prefix-set sigma(s) ending at city c of top after sigma, and
-    column 0 is the SENTINEL column, "no row".  Levels are filled from |top|
-    down to 1.  pos maps each (problem, set) of a level to its row's
+    The problem's rows are the sets that hold sigma^-1(first), picked from
+    the shared levels, never sorted or searched.  A level's table is laid
+    out cities x rows, as a (|top| x rows + 1) array: [c, r + 1] holds row
+    r's cheapest completion from its prefix-set sigma(s) ending at city c
+    of top after sigma, and column 0 is the SENTINEL column, "no row".
+    Levels are filled from |top| down to 1.  pos maps each (problem, set) of a level to its row's
     column, 0 when it has none.  The successors s | e of a row in the level
     above are, CHUNK // |top| rows at a time, either looked up in a rank
     table, for a lattice without an index, or gathered from the lattice's
@@ -388,12 +375,6 @@ def _sweep_levels(d, lat, problems):
         inv = np.ascontiguousarray(np.argsort(perms, axis=1).T)
     at_first = firsts if inv is None else inv[firsts, np.arange(count)]
     fbits = bits[at_first]
-    keep = None
-    if any(p[3] is not None for p in problems):
-        keep = np.ones((count, lat.size), dtype=bool)
-        for p, problem in enumerate(problems):
-            if problem[3] is not None:
-                keep[p] = problem[3]
     # steps[e][c] = d[c][e] << SHIFT | e, so a candidate carries its next city
     steps = np.ascontiguousarray(dist[cities][:, cities].T << SHIFT | every[:, None])
     # level m is top alone, one column per problem; pos column 0 is "no row"
@@ -412,10 +393,7 @@ def _sweep_levels(d, lat, problems):
         if rank is not None:
             rank[levels[k + 1]] = np.arange(len(levels[k + 1]), dtype=np.int32)
         if up_vals.shape[1] > 1:  # some row above reaches top
-            sel = (level & fbits[:, None]) != 0
-            if keep is not None:
-                sel &= keep[:, lat.starts[k]:lat.starts[k + 1]]
-            rp, ri = np.nonzero(sel)
+            rp, ri = np.nonzero((level & fbits[:, None]) != 0)  # twice as fast on bools as on int64
         else:
             rp = ri = np.zeros(0, dtype=np.int64)
         rows = len(rp)
@@ -490,7 +468,7 @@ def _fixed_path(d, cities, a, b):
     subset of cities that holds a.  Returns (value, order)."""
     cities = sorted(cities)
     lat = _Lattice.of_cities(cities, a)
-    [(value, order, _)] = _chain_dp(d, lat, [(a, b, None, None)])
+    [(value, order, _)] = _chain_dp(d, lat, [(a, b, None)])
     return value, order
 
 
@@ -525,6 +503,8 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
     the root's split (switch_depth 1, n >= 13) has larger leaves, and its
     groups share no leaf, so no group is already in the memo."""
     n = inst.n
+    if switch_depth < 0:
+        raise ValueError(f"switch depth must be nonnegative, got {switch_depth}")
     if n > HELD_KARP_CAP:
         raise CapError(f"gurevich_shelah caps at n <= {HELD_KARP_CAP}")
     d = inst.dist
@@ -540,7 +520,7 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
             return
         lat = _Lattice.of_cities(sorted(cities))
         pairs = list(product(starts, ends))
-        problems = [(a, b, None, None) for a, b in pairs]
+        problems = [(a, b, None) for a, b in pairs]
         for (a, b), (value, order, _) in zip(pairs, _chain_dp(d, lat, problems)):
             memo[cities, a, b] = value, order
 
@@ -619,8 +599,7 @@ def random_split_solver(inst: TspInstance, alpha: float, trials: int, seed: int)
     base = split_prefix_system(n, range(1, half + 1), alpha)
     everyone = set(range(1, n + 1))
     perms = (np.array([*chosen, *sorted(everyone.difference(chosen))]) - 1 for chosen in fresh)
-    members = ((perm, None) for perm in perms)
-    return _fold(_orbit_answers(inst, base, members), from_city_1=True)
+    return _fold(_orbit_answers(inst, base, perms), from_city_1=True)
 
 
 def partition_blocks(n: int, block_size: int) -> tuple[int, ...]:
@@ -644,8 +623,14 @@ def framework_solver(
     induced per-block orders the members support, so scanning all tuples and
     taking the best restricted-DP result is exact whenever every family
     covers its block's permutations.  Every tuple's product is a relabeling
-    of the bases' product, less its removed sets in unique mode, so all of
-    them are swept over that product's lattice.
+    of the bases' product, so all of them are swept over that product's
+    lattice.  A family is read only through its base, relabelings and
+    covers_all.  A unique-mode family's removed sets are ignored: its plain
+    relabelings are supersets of its members, so they still cover every
+    permutation.  Each member's answer is the lowest (cyclic cost, order)
+    among the orders it supports, and a complete cover supports every
+    order, so value and tour are those of any complete cover; table_entries
+    can only grow.
     """
     n = inst.n
     sizes = partition_blocks(n, block_size)
@@ -658,28 +643,13 @@ def framework_solver(
         if not covers_all(fam):
             raise ValueError("family does not cover its block's permutations")
     # the tuple's union product is the image of the bases' union product
-    # under the blockwise relabeling, minus the sets whose block part is
-    # the preimage of a removed set: one orbit with per-member row filters
+    # under the blockwise relabeling: one orbit
     base = reduce(union_product, [fam.base for fam in families])
-    flat = np.concatenate(base.level_arrays())
     blocks, off = [], 0
     for fam, size in zip(families, sizes):
-        part = flat >> off & (1 << size) - 1
-        members = []
-        for j, sigma in enumerate(fam.relabelings):
-            inverse = np.argsort(sigma) + 1
-            removed = fam.removed[j] if fam.unique_mode and fam.removed else ()
-            keep = ~np.isin(part, image_masks(list(removed), inverse)) if removed else None
-            members.append((np.array(sigma) - 1 + off, keep))
-        blocks.append(members)
+        blocks.append([np.array(sigma) - 1 + off for sigma in fam.relabelings])
         off += size
-
-    def member(parts):
-        keeps = [keep for _, keep in parts if keep is not None]
-        keep = reduce(np.logical_and, keeps) if keeps else None
-        return np.concatenate([perm for perm, _ in parts]), keep
-
-    best = _fold(_orbit_answers(inst, base, map(member, product(*blocks))))
+    best = _fold(_orbit_answers(inst, base, map(np.concatenate, product(*blocks))))
     if best is None:
         raise ValueError("no index tuple admits a tour")
     return best

@@ -455,16 +455,6 @@ def relabel(f: SetSystem, sigma) -> SetSystem:
     return SetSystem(f.n, image_masks(np.concatenate(f.level_arrays()), sigma))
 
 
-def closure_from_permutations(n: int, perms) -> SetSystem:
-    """Minimal system supporting every given permutation: the union of all
-    their prefix-sets.  Duplicate permutations are deduplicated silently."""
-    masks = set()
-    for p in perms:
-        check_permutation(p, n)
-        masks.update(prefix_chain(p))
-    return SetSystem(n, masks)
-
-
 def relabeling_orbit(f: SetSystem) -> set[frozenset]:
     """Distinct images of f under all n! relabelings, each as a frozenset of
     masks.  Exhaustive; capped by the n! oracle limit."""

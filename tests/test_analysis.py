@@ -26,7 +26,6 @@ from chainfold.analysis import (
     emit_curve,
     entropy,
     finite_size_rows,
-    interpolate,
     interpolation_constant,
     jlr_rows,
     optimal_lower_k,
@@ -207,11 +206,6 @@ def test_lower_bound_domain():
 
 # --- interpolation -------------------------------------------------------------------------
 
-def test_interpolate_endpoints():
-    assert interpolate(1.4, 1.7, 1.9, 1.1, 1.0) == (1.4, 1.7)
-    assert interpolate(1.4, 1.7, 1.9, 1.1, 0.0) == (1.9, 1.1)
-
-
 def test_interpolation_segment_matches_quoted_form():
     # quoted low-space segment: P <= 1.785975 * 74.0839^(1/2 - x)
     pts = reference_points()
@@ -219,7 +213,7 @@ def test_interpolation_segment_matches_quoted_form():
     _, lg_p1 = pts["banded_sqrt2"]
     x = 0.48
     mu = (x - x2) / (0.5 - x2)
-    _, p_interp = interpolate(2**0.5, 2**lg_p1, 2**x2, 2**lg_p2, mu)
+    p_interp = (2**lg_p1) ** mu * (2**lg_p2) ** (1 - mu)  # union-product mixing
     quoted = 1.785975 * 74.0839 ** (0.5 - x)
     assert abs(p_interp - quoted) <= 1e-3
     assert abs(interpolation_constant() - 74.0839) <= 0.05

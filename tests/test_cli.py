@@ -164,6 +164,14 @@ def test_solve_gs_cap_violation_exits_3(capsys, tmp_path):
         assert code == 3 and out == ""
 
 
+def test_solve_gs_negative_depth_exits_2(capsys, instance8):
+    # a negative switch depth is refused, not run as depth 0
+    code = main(["solve", "--alg", "gs", "--depth", "-2", "--instance", instance8])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: switch depth must be nonnegative, got -2\n"
+
+
 def test_solve_restricted_ground_set_mismatch_exits_2(capsys, tmp_path, instance8):
     sys_path = tmp_path / "p7.ss"
     dump_system(powerset(7), sys_path)

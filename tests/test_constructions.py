@@ -14,7 +14,6 @@ from chainfold.analysis import SQRT2_PARAMS
 from chainfold.constructions import (
     TOWER_LEVEL_CAP,
     _TOKENS,
-    banded_permutation_predicate,
     banded_prefix_system,
     core_prefix_system,
     from_spec,
@@ -31,7 +30,6 @@ from chainfold.systems import (
     GROUND_CAP,
     CapError,
     SetSystem,
-    closure_from_permutations,
     count_chains,
     mask_of,
     metrics,
@@ -40,6 +38,8 @@ from chainfold.systems import (
     supported_permutation_count,
     supports,
 )
+
+from permutation_oracles import closure_from_permutations
 
 
 # --- powerset / single chain -------------------------------------------------
@@ -287,6 +287,28 @@ def test_split_prefix_on_the_lower_block_is_the_band_system(k, beta):
 
 
 # --- banded prefix system ------------------------------------------------------
+
+def banded_permutation_predicate(n, alpha, beta, gamma):
+    """The permutation-level membership test behind banded_prefix_system,
+    with its parameters floored to counts as the builder floors them."""
+    h = n // 2
+    an, bn, gn = (int(x * n + 1e-9) for x in (alpha, beta, gamma))
+    left2 = set(range(1, an + 1))
+    left1 = set(range(1, h + 1))
+    right1 = set(range(h + 1, n + 1))
+    right2 = set(range(n - an + 1, n + 1))
+
+    def ok(perm) -> bool:
+        if any(v not in left2 for v in perm[:bn]):
+            return False
+        if bn and any(v not in right2 for v in perm[-bn:]):
+            return False
+        if sum(1 for v in perm[:h] if v in left1) < gn:
+            return False
+        return sum(1 for v in perm[h:] if v in right1) >= gn
+
+    return ok
+
 
 def closure_oracle(n, alpha, beta, gamma):
     ok = banded_permutation_predicate(n, alpha, beta, gamma)

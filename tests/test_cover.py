@@ -36,7 +36,6 @@ from chainfold.systems import (
     CapError,
     FormatError,
     SetSystem,
-    closure_from_permutations,
     count_chains,
     dump_system,
     mask_of,
@@ -44,6 +43,8 @@ from chainfold.systems import (
     relabel,
     supports,
 )
+
+from permutation_oracles import closure_from_permutations
 
 
 # --- enumeration oracles ------------------------------------------------------

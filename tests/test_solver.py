@@ -157,7 +157,7 @@ def test_path_dp_matches_path_brute_on_every_endpoint_pair(k):
                 expected = _path_brute(inst.dist, path, a, b)
                 assert _fixed_path(inst.dist, path, a, b) == expected
                 lat = _indexed_lattice(sorted(path))
-                [(value, order, _)] = _chain_dp(inst.dist, lat, [(a, b, None, None)])
+                [(value, order, _)] = _chain_dp(inst.dist, lat, [(a, b, None)])
                 assert (value, order) == expected
 
 
@@ -411,7 +411,7 @@ def test_batched_chain_dp_matches_one_fixed_path_per_leaf(k):
     for ends, paths in zip(shapes, expected):
         one_first = ends[0][0] == ends[1][0]
         for lat in (every, indexed, holding_first) if one_first else (every, indexed):
-            got = list(_chain_dp(inst.dist, lat, [(a, b, None, None) for a, b in ends]))
+            got = list(_chain_dp(inst.dist, lat, [(a, b, None) for a, b in ends]))
             assert [(value, order) for value, order, _ in got] == paths
 
 
@@ -444,10 +444,10 @@ def test_chain_dp_restores_numpy_buffer_size(monkeypatch):
     monkeypatch.setattr(solver, "_sweep_levels", recording)
     before = np.getbufsize()
     assert before != solver.FILL_BUFSIZE
-    assert list(_chain_dp(inst.dist, lat, [(1, 1, None, None)]))[0][0] == expected
+    assert list(_chain_dp(inst.dist, lat, [(1, 1, None)]))[0][0] == expected
     assert np.getbufsize() == before
     with pytest.raises(ValueError):
-        list(_chain_dp([[0, 1], [1]], lat, [(1, 1, None, None)]))
+        list(_chain_dp([[0, 1], [1]], lat, [(1, 1, None)]))
     assert np.getbufsize() == before
     assert seen == [solver.FILL_BUFSIZE] * 2
 
@@ -455,6 +455,12 @@ def test_chain_dp_restores_numpy_buffer_size(monkeypatch):
 def test_gs_cap():
     with pytest.raises(CapError):
         gurevich_shelah(random_instance(25, 0), 2)
+
+
+def test_gs_refuses_a_negative_switch_depth():
+    for inst in (random_instance(6, 0), random_instance(25, 0)):
+        with pytest.raises(ValueError, match="switch depth"):
+            gurevich_shelah(inst, -1)
 
 
 # --- warmup split solver --------------------------------------------------------------
@@ -522,7 +528,7 @@ def _sweeps(inst, systems):
     call per system that holds the empty and the full set."""
     from chainfold import solver
 
-    answers = (solver._orbit_answers(inst, f, [(None, None)]) for f in systems)
+    answers = (solver._orbit_answers(inst, f, [None]) for f in systems)
     return solver._fold(chain.from_iterable(answers))
 
 
@@ -611,7 +617,7 @@ def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
 
     inst = random_instance(6, 1)
     lat = _Lattice.of_cities(list(range(1, 7)))  # each problem counts its 64 sets
-    problems = [(a, a, None, None) for a in range(1, 7)]
+    problems = [(a, a, None) for a in range(1, 7)]
     expected = list(_chain_dp(inst.dist, lat, problems))
     monkeypatch.setattr(solver, "_sweep", recording)
     for batch_rows, cut in ((1, [1] * 6), (1 << 40, [6]), (2 * 64, [2] * 3)):
@@ -629,10 +635,10 @@ def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
     assert sizes == [firsts] and firsts > 1
 
 
-def _orbit_member(inst, base, perm, keep=None):
+def _orbit_member(inst, base, perm):
     from chainfold import solver
 
-    return solver._fold(solver._orbit_answers(inst, base, [(perm, keep)]))
+    return solver._fold(solver._orbit_answers(inst, base, [perm]))
 
 
 @pytest.mark.parametrize("low, high", [(1, 2), (-1, 1)])
@@ -642,15 +648,15 @@ def test_relabeled_ties_match_one_restricted_dp_per_built_system(n, low, high):
     # the base's labels instead of its own would return another witness or
     # table size.  Each member of a split or framework orbit, swept over the
     # base, must give what restricted_dp gives on its explicitly built
-    # system; the framework member's row filter comes from that system here,
-    # set by set, not from the solver's removed-set mapping.  Each solver
-    # must give the best of its members, with the largest table.
+    # system.  Each solver must give the best of its members, with the
+    # largest table.  A unique family's members lose their removed sets, so
+    # only its solver's answer is checked, against the built members
     from functools import reduce
     from itertools import combinations, product
 
     from chainfold import verify
     from chainfold.cover import make_unique
-    from chainfold.systems import image_masks, union_product
+    from chainfold.systems import union_product
 
     inst = _instance(n, 60 + n, low, high)
     half = n // 2
@@ -672,7 +678,6 @@ def test_relabeled_ties_match_one_restricted_dp_per_built_system(n, low, high):
     block_size, plain = verify.framework_plan(n)
     for families in (plain, [make_unique(fam) for fam in plain]):
         product_base = reduce(union_product, [fam.base for fam in families])
-        flat = np.concatenate(product_base.level_arrays())
         members = []
         for parts in product(*(zip(fam.relabelings, fam.systems()) for fam in families)):
             built = reduce(union_product, [g for _, g in parts])
@@ -681,14 +686,16 @@ def test_relabeled_ties_match_one_restricted_dp_per_built_system(n, low, high):
             for relabeling, g in parts:
                 sigma += [off + v for v in relabeling]
                 off += g.n
-            keep = np.isin(image_masks(flat, sigma), list(built.mask_set()))
-            assert _orbit_member(inst, product_base, np.array(sigma) - 1, keep) == members[-1]
+            if families is plain:
+                assert _orbit_member(inst, product_base, np.array(sigma) - 1) == members[-1]
         assert framework_solver(inst, block_size, families) == _best_of(members)
 
 
 def test_unique_framework_reports_its_largest_table():
-    # unique-mode members are relabelings minus removed sets, so their
-    # tables differ; the run reports the largest (2307), not the winner's
+    # unique-mode members are relabelings minus removed sets, so the tables
+    # of their built products differ.  The solver sweeps the plain
+    # relabelings instead, and reports the largest table (2307), that of
+    # the product of the first members, which drop nothing
     from functools import reduce
     from itertools import product
 
@@ -703,6 +710,37 @@ def test_unique_framework_reports_its_largest_table():
     assert (sol.value, sol.table_entries) == (110, 2307)
     tuples = product(fam.systems(), repeat=2)
     assert sol == _best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples)
+
+
+@pytest.mark.parametrize("low, high", [(1, 2), (-1, 1)])
+@pytest.mark.parametrize("n", (8, 9, 10))
+def test_unique_framework_answers_as_its_plain_family(n, low, high):
+    # a unique family is solved over its plain relabelings, supersets of its
+    # members that cover every permutation too.  Tied weights give many
+    # optimal tours, so a solver that read another cover's witness would
+    # show here: value and tour must equal the plain family's, held_karp's
+    # and the best restricted_dp over the built unique products.  Blocks of
+    # 4 and 5 take families whose unique members all but the first drop sets
+    from functools import reduce
+    from itertools import product
+
+    from chainfold import verify
+    from chainfold.cover import make_unique
+    from chainfold.systems import union_product
+
+    fam4 = greedy_prune(random_cover(core_prefix_system(4, 0.75, 0.5), seed=1, max_tries=500))
+    block_size, plain = verify.framework_plan(n, {4: fam4, 5: verify.block_families()[5]})
+    unique = [make_unique(fam) for fam in plain]
+    assert all(all(fam.removed[1:]) for fam in unique)
+    for seed in range(4):
+        inst = _instance(n, 80 + seed, low, high)
+        got = framework_solver(inst, block_size, unique)
+        over_plain, exact = framework_solver(inst, block_size, plain), held_karp(inst)
+        tuples = product(*(fam.systems() for fam in unique))
+        built = _best_of(restricted_dp(inst, reduce(union_product, t)) for t in tuples)
+        for other in (over_plain, exact, built):
+            assert (got.value, got.tour) == (other.value, other.tour)
+        assert got.table_entries == over_plain.table_entries >= built.table_entries
 
 
 def _index_searches(monkeypatch):

@@ -28,7 +28,6 @@ from chainfold.systems import (
     FormatError,
     SetSystem,
     chain_counts,
-    closure_from_permutations,
     count_chains,
     dump_system,
     elems_of,
@@ -44,6 +43,8 @@ from chainfold.systems import (
     supports,
     union_product,
 )
+
+from permutation_oracles import closure_from_permutations
 
 
 @st.composite
