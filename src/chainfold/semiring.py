@@ -16,7 +16,7 @@ Three evaluators, strongest preconditions last:
   level by level and grouped by prefix mask; below degree 3 each (mask,
   added element) step folds all its tails into one accumulator.  Zero states
   are never kept (sound by the annihilation law, see SemiringDescriptor), so
-  counting linear extensions visits downsets only, and the DP is capped by
+  the linear-extension problem visits downsets only, and the DP is capped by
   the states it holds at once (systems.STATE_BUDGET), not by n.
 * evaluate_restricted / evaluate_unique -- per-member restricted DPs over a
   covering family, each stepping along its member's cached successor map,
@@ -29,12 +29,22 @@ Three evaluators, strongest preconditions last:
 
 Degree is capped at 3: the DP state carries the last d-1 entries, and beyond
 that the state blowup defeats the desk-scale purpose.
+
+count_linear_extensions needs no semiring DP: the linear extensions of a
+poset are the maximal chains of its downset lattice, so it builds the
+downsets level by level in numpy (downset_levels) and counts them with the
+chain sweep of systems.count_level_chains.  It refuses exactly the posets
+that evaluate_dp refuses on linear_extension_problem: at degree 1 each live
+state is one downset, so that DP holds more than STATE_BUDGET states iff two
+adjacent downset levels do.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from math import comb, inf
+
+import numpy as np
 
 from . import systems
 from .cover import CoverFamily, covers_all, exactly_once
@@ -353,9 +363,54 @@ def linear_extension_problem(poset: Poset) -> PermutationProblem:
     return PermutationProblem(poset.n, 1, cost, COUNTING)
 
 
+def downset_levels(poset: Poset) -> list:
+    """The downsets of the poset, per size, as ascending int64 arrays.
+
+    Each downset is built once, from its canonical parent: the downset
+    less its largest maximal element.  So D plus v is built from D exactly
+    when v is not in D, every predecessor of v is, and v is larger than
+    every maximal element of D that does not precede it.  The maximal
+    elements of D are D less the predecessors of its elements, carried
+    along as below.  A level is built CHAIN_CELLS (downset, element) cells
+    at a time, then sorted.
+
+    Raises CapError, as the degree-1 semiring DP does, once two adjacent
+    levels hold more than systems.STATE_BUDGET downsets, so a refused
+    poset holds at most the budget plus one chunk's downsets.
+    """
+    n = poset.n
+    preds = np.array(poset.pred_masks, dtype=np.int64)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    rows = max(1, systems.CHAIN_CELLS // max(n, 1))
+    level, below = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    levels = [level]
+    for _ in range(n):
+        live, kids, kids_below = len(level), [], []
+        for lo in range(0, len(level), rows):
+            d, b = level[lo : lo + rows, None], below[lo : lo + rows, None]
+            grow = ((d & bits) == 0) & ((d & preds) == preds) & ((d & ~b & ~preds) < bits)
+            row, v = np.nonzero(grow)
+            live += len(row)
+            if live > systems.STATE_BUDGET:
+                raise CapError(f"two downset levels hold over {systems.STATE_BUDGET} downsets")
+            kids.append(d[row, 0] | bits[v])
+            kids_below.append(b[row, 0] | preds[v])
+        level = np.concatenate(kids)
+        order = np.argsort(level)
+        level, below = level[order], np.concatenate(kids_below)[order]
+        levels.append(level)
+    return levels
+
+
 def count_linear_extensions(poset: Poset) -> int:
-    """Number of total orders extending the poset."""
-    return evaluate_dp(linear_extension_problem(poset))
+    """Number of total orders extending the poset: the maximal chains of
+    its downset lattice, counted by the chain sweep over downset_levels.
+    It refuses what the semiring DP over linear_extension_problem refuses,
+    and a poset above GROUND_CAP elements, whose downsets need more than
+    an int64 mask, goes to that DP."""
+    if poset.n > GROUND_CAP:
+        return evaluate_dp(linear_extension_problem(poset))
+    return systems.count_level_chains(poset.n, downset_levels(poset))
 
 
 def count_linear_extensions_brute(poset: Poset) -> int:

@@ -19,9 +19,17 @@ algorithm with space S^(n+o(n)) and time (S*P)^(n+o(n)).
 Chain counts are exact: a level-k count is at most k!, so the sweep keeps
 them in int64 through level 20 (20! < 2^63) and in Python ints above it,
 and returns Python ints; floats enter only in the final metric
-normalization.  Permutations are tuples of the values 1..n.  All operations
-are pure; values are immutable after construction and safe to share across
-threads.
+normalization.
+
+The chain sweep and the successor index find a set's neighbours one level
+up or down in one of two ways, chosen by n and |F| alone.  A dense system,
+2^n <= |F|*n, looks them up in a rank table: one int32 per mask of [n],
+holding the place of each set of one level and -1 everywhere else, so the
+table holds no more cells than the successor index and is freed on return.
+A sparse system searches the ascending level arrays instead.
+
+Permutations are tuples of the values 1..n.  All operations are pure;
+values are immutable after construction and safe to share across threads.
 """
 
 import math
@@ -58,8 +66,8 @@ def read_headers(path, *keys) -> tuple[list[str], list[str]]:
     """Read the non-blank stripped lines of a text file.  The first lines
     must be `key value` headers, one per key in order; returns their values
     and the lines after them."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    with open(path) as fh:  # text mode reads every line end as "\n"
+        lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     head = lines[: len(keys)]
     if len(head) < len(keys) or not all(ln.startswith(k + " ") for ln, k in zip(head, keys)):
         raise FormatError(f"{path}: missing {'/'.join(map(repr, keys))} header")
@@ -117,16 +125,33 @@ def split_levels(masks, n: int) -> list:
     return [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def successor_index(lower, upper, bits) -> np.ndarray:
+def _rank_table(n: int, size: int):
+    """An all -1 int32 table over the 2^n masks of [n] for a system of size
+    sets when it is dense, 2^n <= size*n, so that it holds no more cells
+    than the system's successor index; None when the system is sparse."""
+    return np.full(1 << n, -1, dtype=np.int32) if 1 << n <= size * n else None
+
+
+def successor_index(lower, upper, bits, rank=None) -> np.ndarray:
     """idx[i, j] = position of lower[i] | bits[j] in the ascending int64
     array upper, or -1 where upper lacks it, as int32.  With upper one
-    level above lower, a bit already in lower[i] reads -1.  Searched
-    CHAIN_CELLS cells at a time, one bit at a time: lower ascends, so the
-    sets plus one bit nearly do, which keeps each search close to the last."""
-    idx = np.full((len(lower), len(bits)), -1, dtype=np.int32)
+    level above lower, a bit already in lower[i] reads -1.  Filled
+    CHAIN_CELLS cells at a time.  Given a _rank_table, upper's ranks are
+    written into it, read with one take, and cleared again: a bit already
+    in lower[i] gives a set of lower's level, which holds no rank.  Without
+    one, each bit's sets are searched in upper: lower ascends, so the sets
+    plus one bit nearly do, which keeps each search close to the last."""
+    shape, rows = (len(lower), len(bits)), max(1, CHAIN_CELLS // max(len(bits), 1))
+    if rank is not None:
+        idx = np.empty(shape, dtype=np.int32)
+        rank[upper] = np.arange(len(upper), dtype=np.int32)
+        for lo in range(0, len(lower), rows):  # every mask lies in the table: clip checks nothing
+            rank.take(lower[lo : lo + rows, None] | bits, out=idx[lo : lo + rows], mode="clip")
+        rank[upper] = -1
+        return idx
+    idx = np.full(shape, -1, dtype=np.int32)
     if not len(upper):
         return idx
-    rows = max(1, CHAIN_CELLS // max(len(bits), 1))
     for lo in range(0, len(lower), rows):
         succ = bits[:, None] | lower[lo : lo + rows]
         at = np.searchsorted(upper, succ)
@@ -274,12 +299,13 @@ class SetSystem:
         """Per level k < n, the read-only int32 array successor_index(
         level_arrays()[k], level_arrays()[k + 1], bits of 1..n): where in
         level k + 1 each set plus each element lies, -1 where F lacks it.
-        Built on first use and cached; chain DPs and successors() read it
-        instead of searching."""
+        Built on first use, through one _rank_table when the system is
+        dense, and cached; chain DPs and successors() read it instead of
+        searching."""
         if self._index is None:
             arrays = self.level_arrays()
-            bits = _BITS[: self.n]
-            index = tuple(successor_index(a, b, bits) for a, b in zip(arrays, arrays[1:]))
+            bits, rank = _BITS[: self.n], _rank_table(self.n, len(self))
+            index = tuple(successor_index(a, b, bits, rank) for a, b in zip(arrays, arrays[1:]))
             for a in index:
                 a.flags.writeable = False
             self._index = index
@@ -324,61 +350,83 @@ def supports(f: SetSystem, perm) -> bool:
     return True
 
 
-def _chain_levels(f: SetSystem):
-    """Path-count DP, one level at a time: yields (masks, counts) for the
-    level's sets that some chain from ∅ reaches, as an ascending int64 array
-    of masks and an array of their chain counts, from ∅ up, and stops at the
-    first level no chain reaches.  Each set's count is the sum over its
+def _chain_levels(n: int, levels):
+    """Path-count DP over the ascending int64 level arrays of a system on
+    [n], one level at a time: yields (masks, counts) for the level's sets
+    that some chain from ∅ reaches, as an ascending int64 array of masks and
+    an array of their chain counts, from ∅ up, and stops at the first level
+    no chain reaches.  Each set's count is the sum over its
     single-element-removed predecessors.
 
     A level is swept in chunks of about CHAIN_CELLS (element, set) cells.
-    A chunk's set bits are taken bit-major, so within one element the
-    predecessors ascend, and one searchsorted finds all of them among the
-    reached sets of the level below.  A level-k count is at most k!, so
-    counts are int64 through level INT64_LEVELS and Python ints (object
-    arrays) above it.
+    When the system is dense (_rank_table), the reached sets of the level
+    below hold their ranks in the table and ext is their counts with one
+    trailing 0, so a chunk's counts are ext.take(rank.take(chunk ^ column))
+    summed over the elements: a bit in s gives s minus that element, and a
+    bit outside s gives a set two levels up, which holds no rank and reads
+    the 0.  When it is sparse, a chunk's set bits are taken bit-major, so
+    within one element the predecessors ascend, and one searchsorted finds
+    all of them among the reached sets of the level below.  A level-k count
+    is at most k!, so counts are int64 through level INT64_LEVELS and Python
+    ints (object arrays) above it.
     """
-    if not len(f.level_arrays()[0]):
+    if not len(levels[0]):
         return
-    bits = _BITS[: f.n]
+    bits = _BITS[:n]
     column = bits[:, None]
-    rows = max(1, CHAIN_CELLS // max(f.n, 1))
+    rows = max(1, CHAIN_CELLS // max(n, 1))
+    rank = _rank_table(n, sum(map(len, levels)))
     masks, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    for k, level in enumerate(f.level_arrays()[1:], 1):
+    for k, level in enumerate(levels[1:], 1):
         if not len(masks):
             return
         yield masks, counts
         if k > INT64_LEVELS:
             counts = counts.astype(object)
+        if rank is not None:
+            rank[masks] = np.arange(len(masks), dtype=np.int32)
+            ext = np.append(counts, 0)  # rank -1 reads the trailing 0
         kept_masks, kept_counts = [level[:0]], [counts[:0]]
         for lo in range(0, len(level), rows):
             chunk = level[lo : lo + rows]
-            bit, row = np.nonzero((chunk & column).astype(bool))
-            preds = chunk[row] ^ bits[bit]
-            at = np.searchsorted(masks, preds)  # past the end: clipped, misses
-            hit = (masks.take(at, mode="clip") == preds).nonzero()[0]
-            total = np.zeros(len(chunk), dtype=counts.dtype)
-            np.add.at(total, row[hit], counts[at[hit]])
+            if rank is not None:
+                total = ext.take(rank.take(chunk ^ column, mode="clip")).sum(axis=0)
+            else:
+                bit, row = np.nonzero((chunk & column).astype(bool))
+                preds = chunk[row] ^ bits[bit]
+                at = np.searchsorted(masks, preds)  # past the end: clipped, misses
+                hit = (masks.take(at, mode="clip") == preds).nonzero()[0]
+                total = np.zeros(len(chunk), dtype=counts.dtype)
+                np.add.at(total, row[hit], counts[at[hit]])
             reached = total.nonzero()[0]
             kept_masks.append(chunk[reached])
             kept_counts.append(total[reached])
+        if rank is not None:
+            rank[masks] = -1
         masks, counts = np.concatenate(kept_masks), np.concatenate(kept_counts)
     yield masks, counts
 
 
-def count_chains(f: SetSystem) -> int:
-    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] within f,
-    as a Python int.
+def count_level_chains(n: int, levels) -> int:
+    """Exact number of maximal chains ∅ = S_0 ⊊ ... ⊊ S_n = [n] through the
+    ascending int64 level arrays of a system on [n], as a Python int.
 
-    Keeps only the last level of the path-count DP, so at most two levels
-    and one chunk's temporaries are held at a time.
+    Keeps only the last level of the path-count DP, so at most two levels,
+    one chunk's temporaries and, for a dense system, the rank table are
+    held at a time.
     """
     masks = counts = ()
-    for masks, counts in _chain_levels(f):
+    for masks, counts in _chain_levels(n, levels):
         pass
-    if len(masks) and masks[-1] == (1 << f.n) - 1:
+    if len(masks) and masks[-1] == (1 << n) - 1:
         return int(counts[-1])
     return 0
+
+
+def count_chains(f: SetSystem) -> int:
+    """Exact number of maximal chains of f, as a Python int
+    (count_level_chains over its level arrays)."""
+    return count_level_chains(f.n, f.level_arrays())
 
 
 def chain_counts(f: SetSystem) -> dict:
@@ -386,7 +434,7 @@ def chain_counts(f: SetSystem) -> dict:
     some chain from ∅ reaches (sets it misses are absent); Python ints."""
     return {
         m: c
-        for masks, counts in _chain_levels(f)
+        for masks, counts in _chain_levels(f.n, f.level_arrays())
         for m, c in zip(masks.tolist(), counts.tolist())
     }
 
@@ -476,6 +524,10 @@ def dump_system(f: SetSystem, path) -> None:
 
 
 def load_system(path) -> SetSystem:
+    """Read a system file.  A fault is reported for the first line, in file
+    order, that has one: a bad hex mask, then a mask outside [n], then a
+    mask not above the line before it by (popcount, value).  The lines are
+    parsed with int(_, 16) and checked in numpy."""
     (n, count), body = read_int_headers(path, "n", "count")
     if n < 0:
         raise FormatError(f"{path}: negative ground-set size")
@@ -483,18 +535,28 @@ def load_system(path) -> SetSystem:
         raise CapError(f"{path}: ground set {n} exceeds cap {GROUND_CAP}")
     if len(body) != count:
         raise FormatError(f"{path}: count says {count}, found {len(body)} masks")
-    masks = []
-    prev_key = None
-    for ln in body:
-        try:
-            m = int(ln, 16)
-        except ValueError:
-            raise FormatError(f"{path}: bad hex mask {ln!r}") from None
-        if m < 0 or m >= 1 << n:
-            raise FormatError(f"{path}: mask {ln} outside ground set [{n}]")
-        key = (m.bit_count(), m)
-        if prev_key is not None and key <= prev_key:
-            raise FormatError(f"{path}: masks not ascending by (popcount, value)")
-        prev_key = key
-        masks.append(m)
-    return SetSystem(n, masks)
+    try:
+        values, bad = [int(ln, 16) for ln in body], None
+    except ValueError:  # parse up to the first bad line: faults before it come first
+        values = []
+        for bad in body:
+            try:
+                values.append(int(bad, 16))
+            except ValueError:
+                break
+    try:
+        masks = np.array(values, dtype=np.int64)
+    except OverflowError:  # from the first value beyond int64 on, every mask is outside [n]
+        first = next(i for i, m in enumerate(values) if not -1 << 63 <= m < 1 << 63)
+        masks = np.array(values[:first], dtype=np.int64)
+    outside = np.flatnonzero(masks >> n)  # a mask negative, or 2^n and above
+    inside = masks[: outside[0] if len(outside) else len(masks)]
+    level = np.bitwise_count(inside)
+    up = (level[1:] > level[:-1]) | ((level[1:] == level[:-1]) & (inside[1:] > inside[:-1]))
+    if not up.all():
+        raise FormatError(f"{path}: masks not ascending by (popcount, value)")
+    if len(inside) < len(values):
+        raise FormatError(f"{path}: mask {body[len(inside)]} outside ground set [{n}]")
+    if bad is not None:
+        raise FormatError(f"{path}: bad hex mask {bad!r}")
+    return SetSystem(n, inside)

@@ -328,7 +328,16 @@ def suite_cover() -> SuiteResult:
     return SuiteResult("cover", ok, lines)
 
 
+def _linear_extensions(poset) -> int | None:
+    """The count of the downset sweep when the semiring DP agrees, else None."""
+    count = semiring.count_linear_extensions(poset)
+    dp = semiring.evaluate_dp(semiring.linear_extension_problem(poset))
+    return count if count == dp else None
+
+
 def suite_count_le() -> SuiteResult:
+    # the downset sweep and the semiring DP against each other, and against
+    # brute enumeration or a closed form
     gen = SplitMix64(6161)
     bad = 0
     tested = 0
@@ -345,16 +354,16 @@ def suite_count_le() -> SuiteResult:
         except ValueError:
             continue
         tested += 1
-        if semiring.count_linear_extensions(poset) != semiring.count_linear_extensions_brute(poset):
+        if _linear_extensions(poset) != semiring.count_linear_extensions_brute(poset):
             bad += 1
     anti = semiring.Poset.from_relations(6, [])
     chain = semiring.Poset.from_relations(7, [(i, i + 1) for i in range(1, 7)])
-    ok_anti = semiring.count_linear_extensions(anti) == factorial(6)
-    ok_chain = semiring.count_linear_extensions(chain) == 1
+    ok_anti = _linear_extensions(anti) == factorial(6)
+    ok_chain = _linear_extensions(chain) == 1
     # beyond brute force: a 40-chain, and disjoint chains 1..8, 9..16,
     # 17..23, 24..30 (5184 downsets), counted by the multinomial
     long_chain = semiring.Poset.from_relations(40, [(i, i + 1) for i in range(1, 40)])
-    ok_long = semiring.count_linear_extensions(long_chain) == 1
+    ok_long = _linear_extensions(long_chain) == 1
     lengths, starts = (8, 8, 7, 7), (1, 9, 17, 24)
     union = semiring.Poset.from_relations(
         30, [(a + i, a + i + 1) for a, k in zip(starts, lengths) for i in range(k - 1)]
@@ -362,7 +371,7 @@ def suite_count_le() -> SuiteResult:
     multinomial = factorial(30)
     for k in lengths:
         multinomial //= factorial(k)
-    ok_union = semiring.count_linear_extensions(union) == multinomial
+    ok_union = _linear_extensions(union) == multinomial
     lines = [
         f"{tested} random posets match brute enumeration: {bad == 0}",
         f"antichain(6) = 6!: {ok_anti}; chain(7) = 1: {ok_chain}",

@@ -5,6 +5,8 @@ from itertools import permutations
 from math import factorial, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfold import cover, semiring, systems
 from chainfold.constructions import core_prefix_system, from_spec, powerset
@@ -571,6 +573,103 @@ def test_random_posets_match_brute():
             continue
         checked += 1
         assert count_linear_extensions(poset) == count_linear_extensions_brute(poset)
+
+
+@st.composite
+def posets(draw, max_n=8):
+    """Random posets on [n]: relations a < b between the elements of a
+    random order, so never cyclic."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    relations = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Poset.from_relations(n, relations)
+
+
+def _downset_peak(poset):
+    """The most downsets two adjacent levels hold: the degree-1 semiring
+    DP's peak of live states on the poset's linear-extension problem."""
+    levels = semiring.downset_levels(poset)
+    return max(len(a) + len(b) for a, b in zip(levels, levels[1:]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(posets())
+def test_downset_levels_are_every_downset_once(poset):
+    downsets = [m for m in range(1 << poset.n)
+                if all(not m >> e & 1 or p & ~m == 0 for e, p in enumerate(poset.pred_masks))]
+    levels = semiring.downset_levels(poset)
+    assert len(levels) == poset.n + 1
+    assert [a.tolist() for a in levels] == [
+        [m for m in downsets if m.bit_count() == k] for k in range(poset.n + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(posets())
+def test_linear_extension_sweep_matches_semiring_dp_and_brute(poset):
+    count = count_linear_extensions(poset)
+    assert type(count) is int
+    assert count == evaluate_dp(linear_extension_problem(poset)) == count_linear_extensions_brute(poset)
+
+
+def _chain_union(lengths):
+    relations, start = [], 1
+    for k in lengths:
+        relations += [(start + i, start + i + 1) for i in range(k - 1)]
+        start += k
+    return Poset.from_relations(sum(lengths), relations)
+
+
+LARGER_POSETS = {
+    "antichain12": ((1,) * 12),
+    "antichain16": ((1,) * 16),
+    "chain12": (12,),
+    "chain16": (16,),
+    "chains4+4+4": (4, 4, 4),
+    "chains5+5+3+3": (5, 5, 3, 3),
+    "chains8+8": (8, 8),
+    "chains6+1+1+1+1+1+1": (6, 1, 1, 1, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("lengths", LARGER_POSETS.values(), ids=LARGER_POSETS)
+def test_linear_extension_sweep_matches_semiring_dp_past_brute(lengths):
+    poset = _chain_union(lengths)
+    multinomial = factorial(poset.n)
+    for k in lengths:
+        multinomial //= factorial(k)
+    assert count_linear_extensions(poset) == evaluate_dp(linear_extension_problem(poset)) == multinomial
+
+
+def _assert_refused_alike(poset):
+    # both refuse iff two adjacent downset levels hold more than the budget
+    peak = _downset_peak(poset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "STATE_BUDGET", peak)
+        assert count_linear_extensions(poset) == evaluate_dp(linear_extension_problem(poset))
+        mp.setattr(systems, "STATE_BUDGET", peak - 1)
+        with pytest.raises(CapError, match="downset levels"):
+            count_linear_extensions(poset)
+        with pytest.raises(CapError, match="semiring DP"):
+            evaluate_dp(linear_extension_problem(poset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_sweep_and_semiring_dp_refuse_the_same_posets(poset):
+    if poset.n:
+        _assert_refused_alike(poset)
+
+
+@pytest.mark.parametrize("name", ["antichain12", "chain16", "chains5+5+3+3", "chains8+8",
+                                  "chains6+1+1+1+1+1+1"])
+def test_sweep_and_semiring_dp_refuse_alike_past_brute(name):
+    _assert_refused_alike(_chain_union(LARGER_POSETS[name]))
+
+
+def test_posets_past_the_ground_cap_go_to_the_semiring_dp():
+    assert count_linear_extensions(_chain(70)) == 1
+    assert count_linear_extensions(_chain_union((64, 1))) == 65
 
 
 def test_transitive_closure_and_cycle_rejection():

@@ -744,15 +744,16 @@ def test_unique_framework_answers_as_its_plain_family(n, low, high):
 
 
 def _index_searches(monkeypatch):
-    """The len(lower) of every systems.successor_index call from now on."""
+    """The len(lower) of every systems.successor_index call from now on, on
+    either path: searched, or read from a rank table."""
     from chainfold import systems
 
     calls = []
     build = systems.successor_index
 
-    def counting(lower, upper, bits):
+    def counting(lower, *args):
         calls.append(len(lower))
-        return build(lower, upper, bits)
+        return build(lower, *args)
 
     monkeypatch.setattr(systems, "successor_index", counting)
     return calls

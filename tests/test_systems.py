@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chainfold import systems
 from chainfold.constructions import (
+    from_spec,
     koivisto_parviainen,
     powerset,
     single_chain,
@@ -312,10 +313,64 @@ def chained_systems(draw, max_n=26):
     return SetSystem(n, masks)
 
 
+@st.composite
+def dense_systems(draw, max_n=12):
+    """Random subsets of powerset(n), n <= max_n, with at least 2^n/n sets,
+    so the rank-table side of the density rule: the prefix sets of a few
+    random permutations, with random masks added."""
+    n = draw(st.integers(1, max_n))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(-(-(1 << n) // n), 1 << n))
+    masks = rng.choice(1 << n, size=size, replace=False)
+    f = SetSystem(n, np.concatenate((masks, *closure_from_permutations(n, perms).level_arrays())))
+    assert systems._rank_table(f.n, len(f)) is not None
+    return f
+
+
 @settings(max_examples=150, deadline=None)
-@given(chained_systems())
+@given(st.one_of(chained_systems(), dense_systems()))
 def test_chain_sweep_matches_dict_reference(f):
     _assert_matches_reference(f)
+
+
+def test_density_rule_picks_the_path():
+    # a 2^n int32 rank table when it holds no more cells than |F|*n
+    rule = [(spec, systems._rank_table(f.n, len(f)) is not None)
+            for spec in ("thm45:18,0.5,0.28", "powerset:16", "kp", "thm41:24,0.5,0.4112,auto",
+                         "tower:12,2")
+            for f in [from_spec(spec)]]
+    assert rule == [("thm45:18,0.5,0.28", True), ("powerset:16", True), ("kp", False),
+                    ("thm41:24,0.5,0.4112,auto", False), ("tower:12,2", False)]
+    table = systems._rank_table(18, 131328)
+    assert table.dtype == np.int32 and table.nbytes == 1 << 20 and (table == -1).all()
+    assert systems._rank_table(4, 4) is not None and systems._rank_table(4, 3) is None
+
+
+@pytest.mark.parametrize("spec", ["thm45:14,0.8412,0.6309", "powerset:10", "kp", "tower:7,3",
+                                  "thm41:12,0.5,0.375,0.5"])
+def test_rank_and_searched_paths_agree(monkeypatch, spec):
+    # the same counts, index and successor map whichever path the rule picks
+    def answers(f):
+        index = f.successor_index()
+        return chain_counts(f), count_chains(f), index, f.successors()
+
+    rank, searched = from_spec(spec), from_spec(spec)
+    default = answers(rank)
+    monkeypatch.setattr(systems, "_rank_table", lambda n, size: None)
+    other = answers(searched)
+    assert default[:2] == other[:2] and default[3] == other[3]
+    assert all(map(np.array_equal, default[2], other[2]))
+
+
+@pytest.mark.parametrize("levels", [0, 3, 8])
+def test_object_counts_on_both_paths(monkeypatch, levels):
+    # counts above INT64_LEVELS are Python ints, on the rank path (powerset,
+    # the dense systems) as on the searched one (the towers)
+    monkeypatch.setattr(systems, "INT64_LEVELS", levels)
+    for f in (powerset(9), from_spec("thm45:10,0.6,0.3"), tower_of_cubes(3, 3), single_chain(12)):
+        _assert_matches_reference(f)
+    assert count_chains(powerset(9)) == factorial(9)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100])
@@ -561,7 +616,7 @@ def _assert_successors_match_reference(f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(set_systems(), chained_systems()))
+@given(st.one_of(set_systems(), chained_systems(), dense_systems()))
 def test_successor_map_matches_bit_loop_reference(f):
     _assert_successors_match_reference(f)
 
@@ -578,8 +633,8 @@ def test_successor_map_edge_cases(f):
     _assert_successors_match_reference(f)
 
 
-@settings(max_examples=40)
-@given(set_systems())
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(set_systems(), dense_systems(max_n=9)))
 def test_successor_index_matches_successor_map(f):
     # entry [i, j] of level k is where set i plus element j + 1 lies in
     # level k + 1, -1 where F lacks it, as the bit-loop reference says; the
@@ -674,6 +729,53 @@ def test_system_file_rejects(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError):
         load_system(path)
+
+
+def _reference_load(path):
+    """load_system as a per-line loop, the oracle for its bulk checks."""
+    (n, count), body = systems.read_int_headers(path, "n", "count")
+    if len(body) != count:
+        raise FormatError(f"{path}: count says {count}, found {len(body)} masks")
+    masks, prev_key = [], None
+    for ln in body:
+        try:
+            m = int(ln, 16)
+        except ValueError:
+            raise FormatError(f"{path}: bad hex mask {ln!r}") from None
+        if m < 0 or m >= 1 << n:
+            raise FormatError(f"{path}: mask {ln} outside ground set [{n}]")
+        key = (m.bit_count(), m)
+        if prev_key is not None and key <= prev_key:
+            raise FormatError(f"{path}: masks not ascending by (popcount, value)")
+        prev_key = key
+        masks.append(m)
+    return SetSystem(n, masks)
+
+
+FAULTY_LINES = ["zz", "0x1g", "-1", "-8000000000000000", "8000000000000000",
+                "7fffffffffffffff", "10000000000000000", "1" + "0" * 20]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 63), st.data())
+def test_load_system_reports_the_first_fault_as_the_line_loop(tmp_path_factory, n, data):
+    # the bulk checks raise what the per-line loop raises: the first faulty
+    # line in file order, its hex, range and order faults in that order
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    lines = ["%x" % m for m in sorted(set(masks), key=lambda m: (m.bit_count(), m))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(FAULTY_LINES + (lines or ["0"]))))
+    path = tmp_path_factory.mktemp("load") / "f.ss"
+    path.write_text(f"n {n}\ncount {len(lines)}\n" + "".join(ln + "\n" for ln in lines))
+    try:
+        want = _reference_load(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            load_system(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert load_system(path) == want
 
 
 def test_system_file_cap(tmp_path):
