@@ -39,6 +39,7 @@ state is one downset, so that DP holds more than STATE_BUDGET states iff two
 adjacent downset levels do.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -77,12 +78,16 @@ class SemiringDescriptor:
     idempotent: bool
 
 
-MIN_PLUS = SemiringDescriptor("min-plus", min, lambda a, b: a + b, inf, 0, True)
-COUNTING = SemiringDescriptor(
-    "count", lambda a, b: a + b, lambda a, b: a * b, 0, 1, False
+# The stock operations are operator's, and min and max are spelled out: each
+# is the two-argument builtin, keeping a on a tie after the same comparison,
+# at a fraction of the builtin's call cost.
+MIN_PLUS = SemiringDescriptor(
+    "min-plus", lambda a, b: b if b < a else a, operator.add, inf, 0, True
 )
+COUNTING = SemiringDescriptor("count", operator.add, operator.mul, 0, 1, False)
 MAX_TIMES = SemiringDescriptor(
-    "max-times", max, lambda a, b: a * b, Fraction(0), Fraction(1), True
+    "max-times", lambda a, b: b if b > a else a, operator.mul,
+    Fraction(0), Fraction(1), True,
 )
 
 

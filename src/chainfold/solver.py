@@ -20,7 +20,7 @@ level (64 MiB at held_karp's cap of 24 cities).
 A problem (first, last, perm) asks for the cheapest chain from {first} up
 to top through the lattice's sets, relabeled by perm, closing at last.
 B(s, c) = cheapest completion of a chain whose prefix-set is s and whose
-last city is c, held in int64 rows, one per (problem, set), filled one
+last city is c, held in integer rows, one per (problem, set), filled one
 popcount level at a time from the top set down.  A level's table is laid
 out cities x rows: its row r is column r + 1 of a (|top| x rows + 1) array,
 so every numpy call of the fill runs along the rows, not along the few
@@ -39,17 +39,26 @@ tie.  Those bits are then split off into the int8 choices, and following
 the choices from {first} yields the lexicographically smallest optimal
 witness.
 
-A missing successor reads SENTINEL = 3 * 2^61, from column 0 of every
-table.  Instances keep n * max|w| < WEIGHT_BOUND = 2^56.  A chain value
-sums at most n weights, so every packed chain value lies strictly between
--2^62 and 2^62.  A packed weight is below 2^61 in size, so SENTINEL plus
-one packed weight lies strictly between 2^62 and 2^63.  The int64 fill
+A missing successor reads SENTINEL, from column 0 of every table.  A
+sweep picks its tables' dtype once, from its weights: int32 when its cities
+times the largest |weight| out of them stay below WEIGHT_BOUND32 = 2^24,
+and int64 otherwise, with SENTINEL = 3 * 2^61 and ALIVE = 2^62.  Instances
+keep n * max|w| < WEIGHT_BOUND = 2^56.  A chain value sums at most one
+weight per city, so every packed chain value lies strictly between -2^62
+and 2^62.  A packed weight is below 2^61 in size, so SENTINEL plus one
+packed weight lies strictly between 2^62 and 2^63.  The int64 fill
 therefore never overflows, a live candidate always beats a missing one,
 and a row that read only SENTINEL ends above ALIVE = 2^62, whatever the
-signs of the weights, and is dropped.  Only two levels of values are alive
-at a time, the (cities x rows) temporaries are cut into CHUNK-cell pieces,
-and _chain_dp cuts any stream of problems into sweeps of about BATCH_ROWS
-rows.
+signs of the weights, and is dropped.  The int32 tables divide every bound
+by 2^32: SENTINEL32 = 3 * 2^29, ALIVE32 = 2^30, packed chain values within
+2^30 and SENTINEL32 plus a packed weight strictly between 2^30 and 2^31
+(a sweep over one city adds nothing).  So both dtypes give the same
+values, witnesses and table entries, and an instance and its weights
+scaled past 2^24 differ only by the scale.  Only two levels of values are
+alive at a time, the (cities x rows) temporaries are cut into CHUNK-cell
+pieces, and _chain_dp cuts any stream of problems into sweeps of about
+BATCH_ROWS = 2^16 rows: every split of the exhaustive split solver at
+n = 9, or every first city of restricted_dp over powerset(12), in one sweep.
 
 The callers differ only in the lattices and problems they hand the engine:
 
@@ -115,7 +124,10 @@ SHIFT = 6  # a packed value is B << SHIFT | e, e < 64 the next city's column
 LOW = (1 << SHIFT) - 1
 SENTINEL = 3 << 61  # a missing successor
 ALIVE = 1 << 62  # every packed chain value lies below, every dead candidate above
-BATCH_ROWS = 1 << 13  # candidate rows per sweep of the batched solvers
+WEIGHT_BOUND32 = 1 << 24  # a sweep's cities * max |weight| below this: int32 tables
+SENTINEL32 = 3 << 29  # SENTINEL and ALIVE of the int32 tables
+ALIVE32 = 1 << 30
+BATCH_ROWS = 1 << 16  # candidate rows per sweep of the batched solvers
 CHUNK = 1 << 14  # cells of one (cities x rows) fill temporary
 FILL_BUFSIZE = 1 << 10  # numpy's ufunc buffer size, in elements, during a sweep: see _sweep
 
@@ -348,8 +360,10 @@ def _sweep(d, lat, problems):
     variable).  The fill folds into one contiguous buffer allocated once per
     sweep, and each chunk's values are copied into the level's table once:
     filling a strided slice of the table directly lost the layout's gain.
-    Its candidates go to the chunk's spent gather index, which is
-    C-ordered like the buffer; a Fortran-ordered one made the fill slower.
+    Each next city's candidates go to a second such buffer, of the tables'
+    dtype and C-ordered like the first; a Fortran-ordered one made the fill
+    slower.  The values, steps and both buffers take the dtype _packing
+    picks from the weights; the gather indices and pos stay intp.
 
     Returns one (value, order, entries) per problem: order lists the cities
     of top from first, value and order are None when no chain reaches top,
@@ -362,11 +376,21 @@ def _sweep(d, lat, problems):
         np.setbufsize(old_bufsize)
 
 
+def _packing(weights, m):
+    """The dtype, SENTINEL and ALIVE of a sweep over m cities whose steps,
+    closing steps included, are among weights: int32 when m * max|weight|
+    stays below WEIGHT_BOUND32, int64 otherwise (see the module docstring)."""
+    if m * int(np.abs(weights).max()) >= WEIGHT_BOUND32:
+        return np.int64, SENTINEL, ALIVE
+    return np.int32, SENTINEL32, ALIVE32
+
+
 def _sweep_levels(d, lat, problems):
     """_sweep's work, under its buffer size."""
     m, count = len(lat.bits), len(problems)
     bits, cities, levels, index = lat.bits, lat.cities, lat.levels, lat.index
-    dist = np.array(d, dtype=np.int64)
+    out_of = np.array(d, dtype=np.int64)[cities]  # out_of[c][x] = d[cities[c]][x]
+    dtype, sentinel, alive_below = _packing(out_of, m)
     every = np.arange(m)
     firsts = np.searchsorted(cities, [p[0] for p in problems])  # columns
     inv = None  # inv[e][p]: the lattice column that problem p labels e
@@ -376,16 +400,16 @@ def _sweep_levels(d, lat, problems):
     at_first = firsts if inv is None else inv[firsts, np.arange(count)]
     fbits = bits[at_first]
     # steps[e][c] = d[c][e] << SHIFT | e, so a candidate carries its next city
-    steps = np.ascontiguousarray(dist[cities][:, cities].T << SHIFT | every[:, None])
+    steps = np.ascontiguousarray(out_of[:, cities].T << SHIFT | every[:, None], dtype=dtype)
     # level m is top alone, one column per problem; pos column 0 is "no row"
     pos = np.stack((np.zeros(count, dtype=np.int64), np.arange(1, count + 1)), axis=1)
-    up_vals = np.full((m, count + 1), SENTINEL, dtype=np.int64)
-    up_vals[:, 1:] = dist[cities][:, [p[1] for p in problems]] << SHIFT
+    up_vals = np.full((m, count + 1), sentinel, dtype=dtype)
+    up_vals[:, 1:] = out_of[:, [p[1] for p in problems]] << SHIFT
     entries = np.full(count, m, dtype=np.int64)
     pos_at, choices_at = [None] * (m + 1), [None] * m
     span = max(1, CHUNK // m)
     cells = m * min(span, count * max(map(len, levels)))
-    v_buf = np.empty(cells, dtype=np.int64)
+    v_buf, cand_buf = np.empty(cells, dtype=dtype), np.empty(cells, dtype=dtype)
     column_bits = bits[:, None]
     rank = np.full(1 << m, -1, dtype=np.int32) if index is None else None
     for k in range(m - 1, 0, -1):
@@ -397,7 +421,7 @@ def _sweep_levels(d, lat, problems):
         else:
             rp = ri = np.zeros(0, dtype=np.int64)
         rows = len(rp)
-        vals = np.empty((m, rows + 1), dtype=np.int64)
+        vals = np.empty((m, rows + 1), dtype=dtype)
         choices = np.empty((m, rows), dtype=np.int8)
         stride, pos_flat = pos.shape[1], pos.ravel()
         up_flat, e_places = up_vals.ravel(), every[:, None] * up_vals.shape[1]
@@ -415,7 +439,7 @@ def _sweep_levels(d, lat, problems):
             up += e_places
             nxt = up_flat.take(up)  # nxt[e, r] = B(s | e, e), or SENTINEL
             v = v_buf[:m * width].reshape(m, width)
-            cand = up  # spent, and C-ordered like v: it holds each next city's candidates
+            cand = cand_buf[:m * width].reshape(m, width)
             np.add(steps[0][:, None], nxt[0], out=v)
             for e in range(1, m):
                 np.add(steps[e][:, None], nxt[e], out=cand)
@@ -424,14 +448,14 @@ def _sweep_levels(d, lat, problems):
             choices[:, lo:lo + width] = cand
             v -= cand
             vals[:, 1 + lo:1 + lo + width] = v
-            del up, nxt, cand  # freed before the next chunk allocates
+            del up, nxt  # freed before the next chunk allocates
         up_vals = up_flat = None  # read in full: free it before this level is compacted
-        alive = vals[0, 1:] < ALIVE  # a row with no successor read only SENTINEL
+        alive = vals[0, 1:] < alive_below  # a row with no successor read only SENTINEL
         if not alive.all():
             kept = np.flatnonzero(alive)
             rp, ri, choices = rp[kept], ri[kept], choices[:, kept]
             vals = vals[:, np.append(0, kept + 1)]
-        vals[:, 0] = SENTINEL
+        vals[:, 0] = sentinel
         pos = np.zeros((count, len(level) + 1), dtype=np.int64)
         pos[rp, ri + 1] = np.arange(1, len(rp) + 1)
         up_vals = vals

@@ -119,7 +119,13 @@ def split_levels(masks, n: int) -> list:
     """The ascending int64 masks within [n] as n + 1 read-only arrays, one
     per popcount: a stable sort by popcount keeps each level ascending."""
     level = np.bitwise_count(masks)
-    masks = masks[np.argsort(level, kind="stable")]
+    return _cut_levels(masks[np.argsort(level, kind="stable")], level, n)
+
+
+def _cut_levels(masks, level, n: int) -> list:
+    """The int64 masks within [n], ascending by (popcount, value), as n + 1
+    read-only arrays, one per popcount; level holds their popcounts, in any
+    order.  masks itself is made read-only."""
     masks.flags.writeable = False  # and so are its slices
     ends = np.cumsum(np.bincount(level, minlength=n + 1)).tolist()
     return [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
@@ -212,15 +218,28 @@ class SetSystem:
         if outside:
             first = next(m for m in masks if not 0 <= m < 1 << n)
             raise ValueError(f"mask {int(first):#x} outside ground set [{n}]")
-        # strictly ascending input (tower, core, powerset) skips the copies
-        if not (arr[1:] > arr[:-1]).all():
+        # strictly ascending input (tower, core, powerset) skips the dedup,
+        # and input strictly ascending by (popcount, value) (load_system)
+        # skips both sorts as well: it falls in value only where its
+        # popcount rises, at most n times
+        rise = arr[1:] > arr[:-1]
+        falls = len(rise) - np.count_nonzero(rise)
+        level = np.bitwise_count(arr) if 0 < falls <= n else None
+        if not falls:
+            levels = split_levels(arr, n)
+        elif level is not None and (
+            (level[1:] > level[:-1]) | (level[1:] == level[:-1]) & rise
+        ).all():
+            levels = _cut_levels(arr.copy(), level, n)  # the copy: arr may be the caller's
+        else:
             # sort-based dedup: np.unique took 966 ms on 2^20 int64 masks, np.sort 14 ms
             arr = np.sort(arr)
             keep = np.ones(len(arr), dtype=bool)
             keep[1:] = arr[1:] != arr[:-1]
             arr = arr[keep]
+            levels = split_levels(arr, n)
         self.n = n
-        self._arrays = tuple(split_levels(arr, n))
+        self._arrays = tuple(levels)
         self._size = len(arr)
         self._mask_set = self._succ = self._elems = self._index = None
 

@@ -75,6 +75,31 @@ def test_semiring_axioms(descriptor):
             assert add(a, a) == a
 
 
+@pytest.mark.parametrize(
+    "descriptor, add, mul",
+    [
+        (MIN_PLUS, min, lambda a, b: a + b),
+        (COUNTING, lambda a, b: a + b, lambda a, b: a * b),
+        (MAX_TIMES, max, lambda a, b: a * b),
+    ],
+)
+def test_stock_operations_are_the_builtins(descriptor, add, mul):
+    # the spelled-out min and max give what the two-argument builtins give,
+    # the same object too: the first argument on a tie, so 1 against
+    # Fraction(1) or 1.0 keeps whichever came first.  inf - inf and 0 * inf
+    # are nan in every spelling
+    def same(x, y):
+        return type(x) is type(y) and (x == y or x != x and y != y)
+
+    pool = [0, 1, -3, 7, 10**30, 0.0, 1.0, -2.5, inf, -inf, Fraction(1), Fraction(-3), Fraction(7, 3)]
+    for a in pool:
+        for b in pool:
+            assert same(descriptor.add(a, b), add(a, b))
+            assert same(descriptor.mul(a, b), mul(a, b))
+            if descriptor.idempotent:
+                assert descriptor.add(a, b) is add(a, b)
+
+
 # --- brute and DP evaluation -----------------------------------------------------
 
 def test_all_one_count_is_factorial():

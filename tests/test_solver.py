@@ -19,6 +19,7 @@ from chainfold.rng import SplitMix64
 from chainfold.solver import (
     BATCH_ROWS,
     WEIGHT_BOUND,
+    WEIGHT_BOUND32,
     Solution,
     _Lattice,
     TspInstance,
@@ -57,20 +58,22 @@ def _instance(n, seed, low, high):
 
 def _weights(kind, n):
     """Weights of one kind: wide, tied, signed, or at the int64 edge, where
-    |w| sits just under WEIGHT_BOUND // n and tours still tie."""
-    big = WEIGHT_BOUND // n - 1
+    |w| sits just under WEIGHT_BOUND // n and tours still tie, or at the
+    int32 edge, just under WEIGHT_BOUND32 // n."""
+    big, big32 = WEIGHT_BOUND // n - 1, WEIGHT_BOUND32 // n - 1
     return {
         "99": st.integers(1, 99),
         "ties": st.integers(1, 2),
         "signed": st.integers(-1, 1),
         "bound": st.sampled_from((big, big - 1, -big)),
+        "edge32": st.sampled_from((big32, big32 - 1, -big32)),
     }[kind]
 
 
 @st.composite
 def instances(draw, min_n, max_n):
     n = draw(st.integers(min_n, max_n))
-    kind = draw(st.sampled_from(("99", "ties", "signed", "bound")))
+    kind = draw(st.sampled_from(("99", "ties", "signed", "bound", "edge32")))
     cells = draw(st.lists(_weights(kind, n), min_size=n * n, max_size=n * n))
     return TspInstance.from_rows([cells[i * n:(i + 1) * n] for i in range(n)])
 
@@ -322,15 +325,28 @@ def test_restricted_drops_sets_with_no_successor(low, high):
     assert restricted_dp(inst, SetSystem(n, dead | {0, (1 << n) - 1, mask_of({1, 2, 3, 4})})) is None
 
 
-@pytest.mark.parametrize("signs", ["mixed", "positive"])
-@pytest.mark.parametrize("n", range(4, 8))
-def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
-    # |w| just under WEIGHT_BOUND // n and two values, so tours tie.  Mixed
-    # signs cancel, positive ones push packed chain values, shifted left by
-    # SHIFT bits, close to 2^62: a sentinel that does not stay above every
-    # chain value, or a sum that wraps around int64, changes a value or a
+def _packings(monkeypatch):
+    """The dtypes the sweeps pick, one per sweep, from here on."""
+    from chainfold import solver
+
+    picked, packing = [], solver._packing
+
+    def recording(weights, m):
+        packed = packing(weights, m)
+        picked.append(packed[0])
+        return packed
+
+    monkeypatch.setattr(solver, "_packing", recording)
+    return picked
+
+
+def _assert_exact_at(bound, n, signs):
+    # |w| just under bound // n and two values, so tours tie.  Mixed signs
+    # cancel, positive ones push packed chain values, shifted left by SHIFT
+    # bits, close to the dtype's ALIVE: a sentinel that does not stay above
+    # every chain value, or a sum that wraps around, changes a value or a
     # witness
-    big = WEIGHT_BOUND // n - 1
+    big = bound // n - 1
     weights = (big, -big) if signs == "mixed" else (big, big - 1)
     gen = SplitMix64(70 + n)
     inst = TspInstance.from_rows([[weights[gen.randbelow(2)] for _ in range(n)] for _ in range(n)])
@@ -348,6 +364,80 @@ def test_chain_dp_is_exact_at_the_weight_bound(n, signs):
         expected = min((sum(inst.dist[x][y] for x, y in zip(t, t[1:])), t[:-1]) for t in paths)
         cities = range(1, n + 1) if a == b else [c for c in range(1, n + 1) if c != b]
         assert _fixed_path(inst.dist, cities, a, b) == expected
+
+
+@pytest.mark.parametrize("signs", ["mixed", "positive"])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_chain_dp_is_exact_at_the_weight_bound(n, signs, monkeypatch):
+    # the int64 tables, at the instance's own bound 2^56
+    picked = _packings(monkeypatch)
+    _assert_exact_at(WEIGHT_BOUND, n, signs)
+    assert set(picked) == {np.int64}
+
+
+@pytest.mark.parametrize("signs", ["mixed", "positive"])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_chain_dp_is_exact_at_the_int32_bound(n, signs, monkeypatch):
+    # the int32 tables, at their bound 2^24: every sweep, _fixed_path's over
+    # n - 1 cities too, stays below it
+    picked = _packings(monkeypatch)
+    _assert_exact_at(WEIGHT_BOUND32, n, signs)
+    assert set(picked) == {np.int32}
+
+
+@pytest.mark.parametrize("n, w", [(3, (2**24 - 1) // 3), (5, (2**24 - 1) // 5), (4, 2**22), (8, 2**21)])
+def test_tables_turn_int64_at_cities_times_weight_2_24(n, w, monkeypatch):
+    # n * max|w| = 2^24 - 1 (n = 3, 5) still packs into int32, 2^24 (n = 4,
+    # 8) does not; the diagonal and a negative weight count too, as a step
+    # from a city to itself still meets SENTINEL in the fill
+    from chainfold import solver
+
+    dtype = np.int32 if n * w < 1 << 24 else np.int64
+    picked = _packings(monkeypatch)
+    for where in ("off", "diagonal", "negative"):
+        rows = [[1 + (i * 7 + j * 3) % 5 for j in range(n)] for i in range(n)]
+        if where == "diagonal":
+            rows[1][1] = w
+        else:
+            rows[n - 1][0] = w if where == "off" else -w
+        assert solver._packing(np.array(rows), n)[0] is dtype
+        inst = TspInstance.from_rows(rows)
+        picked.clear()
+        b, h, r = brute_force(inst), held_karp(inst), restricted_dp(inst, powerset(n))
+        assert (h.value, h.tour) == (r.value, r.tour) == (b.value, b.tour)
+        assert set(picked) == {dtype}
+
+
+@pytest.mark.parametrize("n", (9, 13))
+def test_scaled_weights_scale_the_value_and_keep_the_tour(n, monkeypatch):
+    # the same instance with its weights times K, which pushes n * max|w|
+    # past 2^24, sweeps int64 tables instead of int32: every solver must
+    # give the same tour and table, and K times the value.  Weights in
+    # {-1, 0, 1, 2} tie often, so the witness decides.  n = 13 is the size
+    # at which gurevich_shelah(., 1) sweeps its leaves
+    from chainfold import verify
+
+    k = 10**7 + 1
+    inst = _instance(n, 90 + n, -1, 2)
+    scaled = TspInstance.from_rows([[k * w for w in row[1:]] for row in inst.dist[1:]])
+    gen = SplitMix64(n)
+    f = SetSystem(n, {gen.randbelow(1 << n) for _ in range(20 * n)} | set(prefix_chain(gen.permutation(n))))
+    runs = [held_karp, lambda i: restricted_dp(i, f)]
+    if n == 9:
+        block_size, families = verify.framework_plan(n)
+        runs += [lambda i: random_split_solver(i, 0.445, comb(n, n // 2), seed=0),
+                 lambda i: framework_solver(i, block_size, families)]
+    else:
+        runs.append(lambda i: gurevich_shelah(i, 1))
+    picked = _packings(monkeypatch)
+    for run in runs:
+        picked.clear()
+        sol = run(inst)
+        narrow = picked[:]
+        picked.clear()
+        big = run(scaled)
+        assert big == Solution(k * sol.value, sol.tour, sol.table_entries)
+        assert set(narrow) == {np.int32} and set(picked) == {np.int64}
 
 
 # --- gurevich-shelah ---------------------------------------------------------------
@@ -633,6 +723,24 @@ def test_chain_dp_cuts_sweeps_by_rows_and_key_room(monkeypatch):
     sizes.clear()
     assert restricted_dp(_instance(63, 63, 1, 3), f) is not None
     assert sizes == [firsts] and firsts > 1
+
+
+def test_default_batch_sweeps_split9_and_powerset12_once(monkeypatch):
+    # at the default BATCH_ROWS, the exhaustive split solver at n = 9 and
+    # restricted_dp over powerset(12) each sweep all their problems at once
+    from chainfold import solver
+
+    sizes = []
+    sweep = solver._sweep
+
+    def recording(d, lat, problems):
+        sizes.append(len(problems))
+        return sweep(d, lat, problems)
+
+    monkeypatch.setattr(solver, "_sweep", recording)
+    random_split_solver(random_instance(9, 1), 0.445, comb(9, 4), seed=0)
+    restricted_dp(random_instance(12, 1), powerset(12))
+    assert sizes == [comb(9, 4) * 4, 12]
 
 
 def _orbit_member(inst, base, perm):

@@ -123,7 +123,7 @@ def test_views_share_the_successor_maps_ints():
 
 
 def test_constructor_leaves_its_input_array_alone():
-    for masks in ([0, 1, 3, 7], [7, 3, 3, 0]):
+    for masks in ([0, 1, 3, 7], [7, 3, 3, 0], [0, 1, 2, 4, 3, 5, 6, 7]):
         arr = np.array(masks, dtype=np.int64)
         f = SetSystem(3, arr)
         assert arr.tolist() == masks and arr.flags.writeable
@@ -154,6 +154,13 @@ CONSTRUCTOR_CASES = [
     (-1, [1 << 70]),
     (64, [0]),
     (70, [1 << 70]),
+    # ascending by (popcount, value), as load_system hands them; then with
+    # a repeat, a level out of order, and one fall too many for [3]
+    (3, [0, 1, 2, 4, 3, 5, 6, 7]),
+    (10, sorted(range(1024), key=lambda m: (m.bit_count(), m))),
+    (3, [0, 1, 2, 4, 3, 3, 5, 6, 7]),
+    (3, [0, 3, 5, 6, 1, 2, 4, 7]),
+    (3, [0, 4, 2, 1, 3, 5, 6, 7]),
 ]
 
 
@@ -169,6 +176,20 @@ def test_constructor_matches_reference_on_random_masks(n, data):
     ok = [m for m in masks if 0 <= m < 1 << n]
     assert_constructor_matches_reference(n, data.draw(st.permutations(ok + ok[:10])))
     assert_constructor_matches_reference(n, masks)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 12), st.data())
+def test_constructor_matches_reference_in_file_order(n, data):
+    # masks ascending by (popcount, value) skip the sorts; a swap of two
+    # neighbours, or a repeat, must send them back through the sort
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=80))
+    ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+    assert_constructor_matches_reference(n, ordered)
+    if len(ordered) > 1:
+        i = data.draw(st.integers(0, len(ordered) - 2))
+        assert_constructor_matches_reference(n, ordered[:i] + ordered[i:i + 2][::-1] + ordered[i + 2:])
+        assert_constructor_matches_reference(n, ordered[:i + 1] + ordered[i:])
 
 
 def test_equal_masks_build_equal_systems_with_equal_hashes():
