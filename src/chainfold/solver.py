@@ -6,16 +6,18 @@ deterministic and diffable.  Every subset DP here is one engine, _chain_dp.
 It solves many chain problems over one lattice and one distance matrix in a
 single numpy sweep.
 
-A lattice holds the sets a sweep may visit, subsets of a city set top kept
-as one ascending int64 array per popcount, and a way to find, for each set
-s and each city e of top, where s | e lies in the level above.  A
-SetSystem's lattice reads its successor index (SetSystem.successor_index),
-built on its first use and cached: where s | e lies, or -1.  A lattice of
-every subset of top, or of every subset that holds one city (the
-Gurevich-Shelah leaf groups, held_karp and _fixed_path), needs no index:
-s | e is in it whenever e is not in s, so the sweep looks it up in a rank
-table over all 2^|top| masks, int32, that holds each set's place within its
-level (64 MiB at held_karp's cap of 24 cities).
+A lattice (systems._Lattice) holds the sets a sweep may visit, subsets of
+a city set top kept as one ascending int64 array per popcount, and says how
+to find, for each set s and each city e of top, where s | e lies in the
+level above.  systems decides that by its one density rule.  A lattice is
+dense when it is a dense SetSystem's, or when it holds every subset of top
+or every subset that holds one city (the Gurevich-Shelah leaf groups,
+held_karp and _fixed_path).  A dense lattice is swept by rank: the sweep
+writes each level's places into an int32 rank table over all 2^|top| masks
+(64 MiB at held_karp's cap of 24 cities) and looks s | e up there.  A
+sparse SetSystem's lattice carries its successor index
+(SetSystem.successor_index), built on its first use and cached: where
+s | e lies, or -1.  Problems over either kind may carry a perm.
 
 A problem (first, last, perm) asks for the cheapest chain from {first} up
 to top through the lattice's sets, relabeled by perm, closing at last.
@@ -64,8 +66,8 @@ The callers differ only in the lattices and problems they hand the engine:
 
     restricted_dp(inst, f) minimizes over tours whose prefix-sets (read from
     the tour's first city) all lie in f.  It solves one problem per first
-    city {c} in f over f's cached lattice, each table holding <= n*|f|
-    entries; its first cities, and repeat calls on f, share one index.
+    city {c} in f over f's lattice, each table holding <= n*|f| entries;
+    over a sparse f, its first cities and repeat calls share one index.
 
     _fixed_path(cities, a, b) is the engine over every subset of cities
     that holds a: the cheapest order of cities from a, plus the step from
@@ -79,7 +81,7 @@ The callers differ only in the lattices and problems they hand the engine:
     all relabelings of one base F.  restricted_dp(relabel(F, sigma), d) is
     restricted_dp(F, d_sigma) with d_sigma[i][j] = d[sigma(i)][sigma(j)] and
     the tour mapped back through sigma, so each member is a problem with a
-    perm over the base's lattice, built and indexed once per call.  The
+    perm over the base's lattice, built once per call.  The
     split solver's base is split_system(n, {1..floor(n/2)}, t), and a split
     is the relabeling that sends 1..floor(n/2) onto its chosen cities.  The
     framework's base is the union product of its families' bases, and an
@@ -112,8 +114,8 @@ from .systems import (
     CapError,
     FormatError,
     SetSystem,
+    _Lattice,
     read_int_headers,
-    split_levels,
     union_product,
 )
 
@@ -211,7 +213,7 @@ def held_karp(inst: TspInstance) -> Solution:
 def restricted_dp(inst: TspInstance, f: SetSystem):
     """Cheapest tour among those supported by f, or None when f admits no
     chain.  Runs the chain DP for every first city {c} in f, their problems
-    swept together over f's cached lattice, so repeat calls on f search
+    swept together over f's lattice, so repeat calls on a sparse f search
     nothing; table_entries is the largest of their tables."""
     if f.n != inst.n:
         raise ValueError(f"system over [{f.n}] vs instance with {inst.n} cities")
@@ -259,60 +261,17 @@ def _orbit_answers(inst: TspInstance, base: SetSystem, perms):
     yield from _chain_dp(inst.dist, lat, problems())
 
 
-class _Lattice:
-    """The sets a sweep runs over, in column space: bit j of a mask, and
-    row j of the sweep's tables, stand for the city cities[j], and top is
-    the set of all of them.  levels[k] holds the sets of k cities as an
-    ascending int64 array, and size counts the sets of every level.
-    index[k], when present, gives where in levels[k + 1] each set of
-    levels[k] plus bit j lies, -1 where it is missing.  Without it, the
-    lattice holds every subset of top that holds one city, or every subset,
-    so s plus bit j is in it whenever s is and j is not in s; the sweep
-    looks such a set up by its rank, and problems over the lattice carry no
-    perm."""
-
-    __slots__ = ("cities", "bits", "levels", "size", "index")
-
-    def __init__(self, cities, levels, index=None):
-        self.cities = np.array(cities, dtype=np.int64)
-        self.bits = np.int64(1) << np.arange(len(self.cities), dtype=np.int64)
-        self.levels = levels
-        self.size = sum(map(len, levels))
-        self.index = index
-
-    @staticmethod
-    def of_system(f: SetSystem) -> "_Lattice":
-        """f's sets over the cities 1..n, with f's cached successor index."""
-        return _Lattice(range(1, f.n + 1), f.level_arrays(), f.successor_index())
-
-    @staticmethod
-    def of_cities(cities, first=None) -> "_Lattice":
-        """Every subset of the ascending cities that holds first (None:
-        every subset), without an index.  A problem's rows are the sets that
-        hold its first city, so any lattice with more sets serves it too."""
-        m = len(cities)
-        if first is None:
-            masks = np.arange(1 << m, dtype=np.int64)
-        else:  # the subsets of the other m - 1 columns, with a 1 slid in at first's column
-            low, fbit = np.arange(1 << (m - 1), dtype=np.int64), 1 << cities.index(first)
-            masks = low & -fbit  # the bits at and above first's column...
-            masks += low  # ...move one place up
-            masks |= fbit
-        return _Lattice(cities, split_levels(masks, m))
-
-
 def _chain_dp(d, lat, problems):
     """Answer chain problems (first, last, perm) over one lattice and one d,
     one (value, order, entries) per problem, in order.  The problems, any
     iterable, are cut into _sweep calls of about BATCH_ROWS rows, each
     problem counting the lattice's size."""
-    batch, rows = [], 0
+    batch = []
     for problem in problems:
         batch.append(problem)
-        rows += lat.size
-        if rows >= BATCH_ROWS:
+        if len(batch) * lat.size >= BATCH_ROWS:
             yield from _sweep(d, lat, batch)
-            batch, rows = [], 0
+            batch = []
     if batch:
         yield from _sweep(d, lat, batch)
 
@@ -330,20 +289,21 @@ def _sweep(d, lat, problems):
     out cities x rows, as a (|top| x rows + 1) array: [c, r + 1] holds row
     r's cheapest completion from its prefix-set sigma(s) ending at city c
     of top after sigma, and column 0 is the SENTINEL column, "no row".
-    Levels are filled from |top| down to 1.  pos maps each (problem, set) of a level to its row's
-    column, 0 when it has none.  The successors s | e of a row in the level
-    above are, CHUNK // |top| rows at a time, either looked up in a rank
-    table, for a lattice without an index, or gathered from the lattice's
-    index at column sigma^-1(e).  rank[mask] is the mask's place in its
-    level, written when that level becomes the level above and -1 before,
-    so s | e with e in s, a set of the level being filled, reads as
-    missing; it is built once per sweep, int32 over all 2^|top| masks.  Read
-    through pos, and plus e times the width of the level above, each gives
-    the flat place of nxt[e, r] = B(s | e, e).  The values are the (min,+)
-    product min_e d[c][e] + nxt[e, r] on packed values (see the module
-    docstring), folded in one next city e at a time by one add and one
-    minimum over the chunk's (c, r); a tie keeps the smaller city, which
-    sits in the low bits.  Those bits become the int8 choices, so the
+    Levels are filled from |top| down to 1.  pos maps each (problem, set)
+    of a level to its row's column, 0 when it has none.  The successors
+    s | e of a row in the level above are found, CHUNK // |top| rows at a
+    time, at the lattice column sigma^-1(e): looked up in a rank table for a
+    dense lattice, perm or not, or gathered from a sparse lattice's index.
+    rank[mask] is the mask's place in its level, written when that level
+    becomes the level above and -1 before, so s | e with e in s, a set of
+    the level being filled, reads as missing, as does a set the lattice
+    lacks; it is the lattice's rank_table(), one per sweep, int32 over all
+    2^|top| masks.  Read through pos, and plus e times the width of the
+    level above, each gives the flat place of nxt[e, r] = B(s | e, e).  The
+    values are the (min,+) product min_e d[c][e] + nxt[e, r] on packed
+    values (see the module docstring), folded in one next city e at a time
+    by one add and one minimum over the chunk's (c, r); a tie keeps the
+    smaller city, which sits in the low bits.  Those bits become the int8 choices, so the
     stored choice is the smallest optimal next city in the problem's own
     labels, and following the choices from {first} gives the
     lexicographically smallest optimal order.  A row with no successor read
@@ -410,8 +370,7 @@ def _sweep_levels(d, lat, problems):
     span = max(1, CHUNK // m)
     cells = m * min(span, count * max(map(len, levels)))
     v_buf, cand_buf = np.empty(cells, dtype=dtype), np.empty(cells, dtype=dtype)
-    column_bits = bits[:, None]
-    rank = np.full(1 << m, -1, dtype=np.int32) if index is None else None
+    rank = lat.rank_table()
     for k in range(m - 1, 0, -1):
         level = levels[k]
         if rank is not None:
@@ -428,12 +387,13 @@ def _sweep_levels(d, lat, problems):
         for lo in range(0, rows, span):
             rp_c, ri_c = rp[lo:lo + span], ri[lo:lo + span]
             width = len(rp_c)
+            # cols[e, r]: the lattice column that row r's problem labels e.
+            # Takes throughout: fancy indexing costs up to twice as much
+            cols = every[:, None] if inv is None else inv.take(rp_c, axis=1)
             if rank is not None:  # succ[e, r]: where s | e lies in the level above, or -1
-                succ = rank.take(level[ri_c] | column_bits)
-            elif inv is None:
-                succ = index[k].ravel().take(ri_c * m + every[:, None])
-            else:  # flat takes: fancy 2-d indexing costs about twice as much
-                succ = index[k].ravel().take(ri_c * m + inv[:, rp_c])
+                succ = rank.take(level.take(ri_c) | bits.take(cols))
+            else:
+                succ = index[k].ravel().take(ri_c * m + cols)
             up = pos_flat.take(succ + (rp_c * stride + 1))  # column of s | e, or 0
             del succ
             up += e_places
@@ -464,11 +424,8 @@ def _sweep_levels(d, lat, problems):
     # up_vals holds level 1 now; walk from each {first} found there, reading
     # the choice of the row in column at, ending at city col, at
     # choices[col, at - 1]
-    key = fbits
-    at = np.zeros(count, dtype=np.int64)
-    if len(levels[1]):
-        i = np.minimum(np.searchsorted(levels[1], key), len(levels[1]) - 1)
-        at = np.where(levels[1][i] == key, pos[np.arange(count), i + 1], 0)
+    key = fbits  # every {first} is a set of level 1
+    at = pos[np.arange(count), np.searchsorted(levels[1], key) + 1]
     solved = np.flatnonzero(at)
     at, key, col = at[solved], key[solved], firsts[solved]
     values = up_vals[col, at] >> SHIFT
@@ -490,8 +447,7 @@ def _fixed_path(d, cities, a, b):
     """Cheapest order of cities from a, plus the step from its last city to b
     (b outside cities, or b == a to close a cycle): the chain DP over every
     subset of cities that holds a.  Returns (value, order)."""
-    cities = sorted(cities)
-    lat = _Lattice.of_cities(cities, a)
+    lat = _Lattice.of_cities(sorted(cities), a)
     [(value, order, _)] = _chain_dp(d, lat, [(a, b, None)])
     return value, order
 
@@ -543,9 +499,8 @@ def gurevich_shelah(inst: TspInstance, switch_depth: int) -> Solution:
         if len(cities) <= brute_leaf:
             return
         lat = _Lattice.of_cities(sorted(cities))
-        pairs = list(product(starts, ends))
-        problems = [(a, b, None) for a, b in pairs]
-        for (a, b), (value, order, _) in zip(pairs, _chain_dp(d, lat, problems)):
+        problems = [(a, b, None) for a, b in product(starts, ends)]
+        for (a, b, _), (value, order, _) in zip(problems, _chain_dp(d, lat, problems)):
             memo[cities, a, b] = value, order
 
     def solve_path(cities: frozenset, a: int, b: int, depth: int):

@@ -21,12 +21,15 @@ them in int64 through level 20 (20! < 2^63) and in Python ints above it,
 and returns Python ints; floats enter only in the final metric
 normalization.
 
-The chain sweep and the successor index find a set's neighbours one level
-up or down in one of two ways, chosen by n and |F| alone.  A dense system,
-2^n <= |F|*n, looks them up in a rank table: one int32 per mask of [n],
-holding the place of each set of one level and -1 everywhere else, so the
-table holds no more cells than the successor index and is freed on return.
-A sparse system searches the ascending level arrays instead.
+Every sweep over a system finds a set's neighbours one level up or down in
+one of two ways, chosen by one rule on n and |F| alone (_dense): the chain
+sweep, the build of the successor index, and the TSP sweep over a _Lattice.
+A dense system, 2^n <= |F|*n, looks them up in a rank table: one int32 per
+mask of [n], holding the place of each set of one level and -1 everywhere
+else, so the table holds no more cells than the successor index and is
+freed on return.  So a dense system hands the TSP sweep no index, and keeps
+none.  A sparse system searches the ascending level arrays instead, and
+its lattice carries the successor index, built once and cached.
 
 Permutations are tuples of the values 1..n.  All operations are pure;
 values are immutable after construction and safe to share across threads.
@@ -131,11 +134,17 @@ def _cut_levels(masks, level, n: int) -> list:
     return [masks[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
+def _dense(n: int, size: int) -> bool:
+    """The density rule: a system of size sets over [n] is dense when
+    2^n <= size*n, so that a rank table over its 2^n masks holds no more
+    cells than its successor index."""
+    return 1 << n <= size * n
+
+
 def _rank_table(n: int, size: int):
     """An all -1 int32 table over the 2^n masks of [n] for a system of size
-    sets when it is dense, 2^n <= size*n, so that it holds no more cells
-    than the system's successor index; None when the system is sparse."""
-    return np.full(1 << n, -1, dtype=np.int32) if 1 << n <= size * n else None
+    sets when it is dense (_dense); None when it is sparse."""
+    return np.full(1 << n, -1, dtype=np.int32) if _dense(n, size) else None
 
 
 def successor_index(lower, upper, bits, rank=None) -> np.ndarray:
@@ -164,6 +173,59 @@ def successor_index(lower, upper, bits, rank=None) -> np.ndarray:
         np.minimum(at, len(upper) - 1, out=at)  # past the end: clipped, misses
         idx[lo : lo + rows] = np.where(upper[at] == succ, at, -1).T
     return idx
+
+
+class _Lattice:
+    """The sets a sweep runs over, in column space: bit j of a mask, and
+    row j of the sweep's tables, stand for the city cities[j], and top is
+    the set of all of them.  levels[k] holds the sets of k cities as an
+    ascending int64 array, and size counts the sets of every level.
+
+    A sweep finds s plus bit j, for s in levels[k], in one of two ways, and
+    the lattice says which.  A sparse lattice carries index: index[k] gives
+    where in levels[k + 1] each set of levels[k] plus bit j lies, -1 where
+    it is missing.  A dense lattice carries none (index None); rank_table()
+    hands each of its sweeps a _rank_table, into which the sweep writes the
+    ranks of each level as it reaches it.  A system's lattice is dense or
+    sparse by the density rule (_dense), and every lattice of_cities builds
+    over two or more cities is dense.  Problems over either kind may carry
+    a perm."""
+
+    __slots__ = ("cities", "bits", "levels", "size", "index")
+
+    def __init__(self, cities, levels, index=None):
+        self.cities = np.array(cities, dtype=np.int64)
+        self.bits = _BITS[: len(self.cities)]
+        self.levels = levels
+        self.size = sum(map(len, levels))
+        self.index = index
+
+    @staticmethod
+    def of_system(f: "SetSystem") -> "_Lattice":
+        """f's sets over the cities 1..n, with f's cached successor index
+        when f is sparse and no index when it is dense."""
+        index = None if _dense(f.n, len(f)) else f.successor_index()
+        return _Lattice(range(1, f.n + 1), f.level_arrays(), index)
+
+    @staticmethod
+    def of_cities(cities, first=None) -> "_Lattice":
+        """Every subset of the ascending cities that holds first (None:
+        every subset), without an index.  A problem's rows are the sets that
+        hold its first city, so any lattice with more sets serves it too."""
+        m = len(cities)
+        if first is None:
+            masks = np.arange(1 << m, dtype=np.int64)
+        else:  # the subsets of the other m - 1 columns, with a 1 slid in at first's column
+            low, fbit = np.arange(1 << (m - 1), dtype=np.int64), 1 << cities.index(first)
+            masks = low & -fbit  # the bits at and above first's column...
+            masks += low  # ...move one place up
+            masks |= fbit
+        return _Lattice(cities, split_levels(masks, m))
+
+    def rank_table(self):
+        """A fresh _rank_table over the 2^|top| masks for one sweep of a
+        dense lattice; None for a sparse one, whose index the sweep reads."""
+        return None if self.index is not None else _rank_table(len(self.bits), self.size)
 
 
 def image_masks(masks, sigma) -> np.ndarray:
@@ -197,8 +259,9 @@ class SetSystem:
     a read-only int64 array.  Those arrays are the only stored masks, 8 B a
     set; len, == and hash read them and n.  The Python views are built from
     them on demand: levels (per popcount, the ascending tuple of masks) and
-    masks on every read, mask_set() on its first call and then cached, as
-    are successors(), elements() and successor_index().
+    masks on every read, and mask_set(), successors() and elements() on
+    their first call and then cached.  successor_index() is cached too, and
+    only a TSP sweep over a sparse system (_Lattice.of_system) calls it.
     """
 
     __slots__ = ("n", "_arrays", "_size", "_mask_set", "_succ", "_elems", "_index")
@@ -287,14 +350,15 @@ class SetSystem:
 
     def successors(self) -> dict:
         """mask -> tuple of (added element, next mask in F), ascending by
-        added element; cached.  Read off successor_index(), row by row in
-        its column order (column j is element j + 1); each level's tolist()
-        gives both its masks' keys and the next masks of the level below,
-        so the map holds one int object per set."""
+        added element; cached.  Read off the successor index level by level
+        (_level_indexes), row by row in its column order (column j is
+        element j + 1), so no index is kept for the map.  Each level's
+        tolist() gives both its masks' keys and the next masks of the level
+        below, so the map holds one int object per set."""
         if self._succ is None:
             levels = [a.tolist() for a in self._arrays]
             succ = dict.fromkeys(levels[-1], ())
-            for lower, upper, idx in zip(levels, levels[1:], self.successor_index()):
+            for lower, upper, idx in zip(levels, levels[1:], self._level_indexes()):
                 hit = idx >= 0
                 rows, cols = np.nonzero(hit)  # row-major: by set, then by element
                 pairs = [(j + 1, upper[i]) for j, i in zip(cols.tolist(), idx[hit].tolist())]
@@ -314,17 +378,23 @@ class SetSystem:
         """levels as read-only ascending int64 arrays, one per cardinality."""
         return self._arrays
 
+    def _level_indexes(self):
+        """The arrays of successor_index(), one level at a time: the cached
+        ones when a sweep has built them, else each built as it is reached,
+        through one _rank_table when the system is dense."""
+        if self._index is not None:
+            return iter(self._index)
+        arrays, bits, rank = self._arrays, _BITS[: self.n], _rank_table(self.n, self._size)
+        return (successor_index(a, b, bits, rank) for a, b in zip(arrays, arrays[1:]))
+
     def successor_index(self) -> tuple:
         """Per level k < n, the read-only int32 array successor_index(
         level_arrays()[k], level_arrays()[k + 1], bits of 1..n): where in
         level k + 1 each set plus each element lies, -1 where F lacks it.
-        Built on first use, through one _rank_table when the system is
-        dense, and cached; chain DPs and successors() read it instead of
-        searching."""
+        Built on first use and cached, |F|*n cells for the system's life:
+        the TSP sweep over a sparse system reads it instead of searching."""
         if self._index is None:
-            arrays = self.level_arrays()
-            bits, rank = _BITS[: self.n], _rank_table(self.n, len(self))
-            index = tuple(successor_index(a, b, bits, rank) for a, b in zip(arrays, arrays[1:]))
+            index = tuple(self._level_indexes())
             for a in index:
                 a.flags.writeable = False
             self._index = index

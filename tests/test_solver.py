@@ -21,7 +21,6 @@ from chainfold.solver import (
     WEIGHT_BOUND,
     WEIGHT_BOUND32,
     Solution,
-    _Lattice,
     TspInstance,
     _chain_dp,
     _fixed_path,
@@ -37,7 +36,16 @@ from chainfold.solver import (
     restricted_dp,
     split_prefix_system,
 )
-from chainfold.systems import CapError, FormatError, SetSystem, mask_of, prefix_chain, supports
+from chainfold.systems import (
+    CapError,
+    FormatError,
+    SetSystem,
+    _dense,
+    _Lattice,
+    mask_of,
+    prefix_chain,
+    supports,
+)
 
 SEEDS = range(5)
 SIZES = range(4, 9)
@@ -868,11 +876,13 @@ def _index_searches(monkeypatch):
 
 
 def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
-    # the successor index is built on a system's first restricted_dp, one
-    # search per level below the top, and read by every later call; it and
-    # the level arrays are read-only, and a fresh, equal system answers alike
+    # a sparse system's successor index is built on its first restricted_dp,
+    # one search per level below the top, and read by every later call; it
+    # and the level arrays are read-only, and a fresh, equal system answers
+    # alike.  The split base at n = 9 (47 sets) is sparse
     calls = _index_searches(monkeypatch)
-    f = core_prefix_system(9, 0.78, 0.45)
+    f = split_prefix_system(9, range(1, 5), 0.445)
+    assert not _dense(f.n, len(f))
     first = [restricted_dp(random_instance(9, seed), f) for seed in range(4)]
     assert calls == [len(level) for level in f.levels[:-1]]
     more = [restricted_dp(random_instance(9, seed), f) for seed in range(4)]
@@ -886,15 +896,53 @@ def test_restricted_dp_builds_each_systems_index_once(monkeypatch):
     assert len(calls) == 2 * f.n
 
 
-def test_successors_and_restricted_dp_share_one_index(monkeypatch):
-    # successors() reads the successor index that restricted_dp sweeps: on a
-    # fresh system, the two together search each level below the top once
+@pytest.mark.parametrize("n", (8, 9, 10))
+def test_dense_systems_build_no_index(monkeypatch, n):
+    # a dense system hands the sweep no index: restricted_dp, the framework
+    # solver and the exhaustive split solver search nothing, and every system
+    # they sweep keeps no index after.  The framework bases at n = 8..10 and
+    # the split base at n = 8 are dense
+    from functools import reduce
+
+    from chainfold import verify
+    from chainfold.systems import union_product
+
     calls = _index_searches(monkeypatch)
-    f = core_prefix_system(9, 0.78, 0.45)
-    succ = f.successors()
-    assert calls == [len(level) for level in f.levels[:-1]]
+    swept, of_system = [], _Lattice.of_system
+    monkeypatch.setattr(_Lattice, "of_system", staticmethod(lambda f: swept.append(f) or of_system(f)))
+    inst = random_instance(n, n)
+    block_size, families = verify.framework_plan(n)
+    framework_solver(inst, block_size, families)
+    restricted_dp(inst, reduce(union_product, [fam.base for fam in families]))
+    if n == 8:
+        random_split_solver(inst, 0.445, comb(n, n // 2), seed=0)
+        restricted_dp(inst, split_prefix_system(n, range(1, 5), 0.445))
+    assert len(swept) == (4 if n == 8 else 2)
+    assert all(_dense(f.n, len(f)) and f._index is None for f in swept)
+    assert calls == []
+
+
+def test_successors_and_restricted_dp_share_one_index(monkeypatch):
+    # successors() builds each level's index as it reaches it and keeps only
+    # the map, on a dense system (core_prefix_system(9, 0.78, 0.45)) as on a
+    # sparse one (the split base at n = 9).  A later sweep builds the sparse
+    # system's index once more and keeps it, and builds none for the dense
+    # one; a map built after a sweep has cached the index reads it and
+    # searches nothing
+    calls = _index_searches(monkeypatch)
+    for f, dense in ((core_prefix_system(9, 0.78, 0.45), True),
+                     (split_prefix_system(9, range(1, 5), 0.445), False)):
+        assert _dense(f.n, len(f)) == dense
+        calls.clear()
+        succ = f.successors()
+        assert calls == [len(level) for level in f.levels[:-1]] and f._index is None
+        restricted_dp(random_instance(9, 0), f)
+        assert len(calls) == (f.n if dense else 2 * f.n) and f.successors() is succ
+        assert (f._index is None) == dense
+    calls.clear()
+    f = split_prefix_system(9, range(1, 5), 0.445)
     restricted_dp(random_instance(9, 0), f)
-    assert len(calls) == f.n and f.successors() is succ
+    assert f.successors() == succ and len(calls) == f.n
 
 
 def test_restricted_dp_refuses_a_system_over_another_ground_set():

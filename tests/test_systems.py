@@ -22,7 +22,13 @@ from chainfold.constructions import (
 )
 from chainfold.cover import load_family
 from chainfold.semiring import load_poset
-from chainfold.solver import load_instance
+from chainfold.solver import (
+    load_instance,
+    random_instance,
+    random_split_solver,
+    restricted_dp,
+    split_prefix_system,
+)
 from chainfold.systems import (
     CapError,
     EmptyGroundSetError,
@@ -369,19 +375,29 @@ def test_density_rule_picks_the_path():
 
 
 @pytest.mark.parametrize("spec", ["thm45:14,0.8412,0.6309", "powerset:10", "kp", "tower:7,3",
-                                  "thm41:12,0.5,0.375,0.5"])
+                                  "thm41:12,0.5,0.375,0.5", "warmup:4,0.75"])
 def test_rank_and_searched_paths_agree(monkeypatch, spec):
-    # the same counts, index and successor map whichever path the rule picks
+    # the same counts, index, successor map and restricted_dp answer whichever
+    # path the density rule picks: with the rule flipped, each system is
+    # swept the other way, by rank or through a searched index.  warmup:4,0.75
+    # is the split base at n = 8, which is dense, so the exhaustive split
+    # solver also sweeps its relabelings (problems with a perm) both ways
     def answers(f):
-        index = f.successor_index()
-        return chain_counts(f), count_chains(f), index, f.successors()
+        index, inst = f.successor_index(), random_instance(f.n, 0)
+        split = spec.startswith("warmup")
+        perms = random_split_solver(inst, 0.445, comb(8, 4), 0) if split else None
+        return chain_counts(f), count_chains(f), index, f.successors(), restricted_dp(inst, f), perms
 
-    rank, searched = from_spec(spec), from_spec(spec)
-    default = answers(rank)
-    monkeypatch.setattr(systems, "_rank_table", lambda n, size: None)
-    other = answers(searched)
-    assert default[:2] == other[:2] and default[3] == other[3]
+    default = answers(from_spec(spec))
+    rule = systems._dense
+    monkeypatch.setattr(systems, "_dense", lambda n, size: not rule(n, size))
+    other = answers(from_spec(spec))
+    assert default[:2] == other[:2] and default[3:] == other[3:]
     assert all(map(np.array_equal, default[2], other[2]))
+    assert default[4] is not None
+    if spec.startswith("warmup"):
+        assert from_spec(spec) == split_prefix_system(8, range(1, 5), 0.445)
+        assert rule(8, len(from_spec(spec))) and default[5] is not None
 
 
 @pytest.mark.parametrize("levels", [0, 3, 8])
