@@ -17,7 +17,12 @@ DP stops there.  Every coverage question reads the histogram:
     exactly_once  no path dies and every signature is a single member
     greedy_prune  the gain of member j is the sum of N(A) over the A that
                   hold j and no kept member
-    random_cover  covers_all on the family so far, after each draw
+    random_cover  no path dies for the family so far, after each draw
+
+The histogram is computed at most once per family and cached on it, so
+covers_all and exactly_once on one family share one DP.  random_cover hands
+its family the histogram of its last, passing check, which is that family's
+own, so greedy_prune(random_cover(...)) runs no DP of its own.
 
 The DP is capped by the (s, A) states it holds at once (systems.STATE_BUDGET),
 not by n: 79-107 B a state under tracemalloc (random covers at n = 10..13),
@@ -63,6 +68,7 @@ from .systems import (
     check_permutation,
     count_chains,
     dump_system,
+    image_masks,
     load_system,
     read_headers,
     relabel,
@@ -75,15 +81,18 @@ SELF_INTERSECT_CAP = 6  # all n! relabelings checked
 
 @dataclass
 class CoverFamily:
-    """Base system, relabelings, and optional unique-mode removals."""
+    """Base system, relabelings, and optional unique-mode removals.
+
+    _hist caches the signature histogram (see _signatures): None until it is
+    computed, {} when some permutation is supported by no member.  It is
+    filled once, by _histogram or by random_cover, and never mutated."""
 
     base: SetSystem
     relabelings: tuple
     unique_mode: bool = False
     removed: tuple = ()  # per member: tuple of masks dropped (unique mode)
     _systems: list = field(default=None, repr=False, compare=False)
-    _covers_all: bool = field(default=None, repr=False, compare=False)
-    _exactly_once: bool = field(default=None, repr=False, compare=False)
+    _hist: dict = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.relabelings)
@@ -100,30 +109,34 @@ class CoverFamily:
 
 def _without(g: SetSystem, masks) -> SetSystem:
     """g less the given masks."""
-    flat = np.concatenate(g.level_arrays())
-    return SetSystem(g.n, flat[~np.isin(flat, np.asarray(masks, dtype=np.int64))])
+    return SetSystem(g.n, g.mask_set().difference(masks))
 
 
-def _add_member(where: dict, j: int, g: SetSystem) -> None:
-    """Record member j in where = {set: bitmask of the members holding it}."""
+def _add_member(where: dict, j: int, masks: np.ndarray) -> None:
+    """Record member j, whose sets are the int64 masks, in where = {set:
+    bitmask of the members holding it}."""
     bit = 1 << j
-    for m in np.concatenate(g.level_arrays()).tolist():
+    for m in masks.tolist():
         where[m] = where.get(m, 0) | bit
 
 
-def _histogram(family: CoverFamily):
-    """_signatures over the family's members."""
-    where: dict = {}
-    for j, g in enumerate(family.systems()):
-        _add_member(where, j, g)
-    return _signatures(family.base.n, where)
+def _histogram(family: CoverFamily) -> dict:
+    """_signatures over the family's members, computed on the first call and
+    cached in family._hist.  A CapError leaves family._hist None."""
+    if family._hist is None:
+        where: dict = {}
+        for j, g in enumerate(family.systems()):
+            _add_member(where, j, np.concatenate(g.level_arrays()))
+        family._hist = _signatures(family.base.n, where)
+    return family._hist
 
 
-def _signatures(n: int, where: dict):
+def _signatures(n: int, where: dict) -> dict:
     """The signature histogram {A: N(A)} of the members described by where:
     N(A) permutations of [n] are supported by exactly the members in the
-    bitmask A.  None as soon as some permutation is supported by no member;
-    otherwise the N(A) sum to n!.
+    bitmask A.  {} as soon as some permutation is supported by no member;
+    otherwise the N(A) sum to n!.  Callers reach it through _histogram, which
+    caches it on the family, or random_cover, which hands it over.
 
     Swept level by level; a level is {s: {A: number of orders of s whose
     every prefix is held by exactly the members in A}}.  Raises CapError
@@ -134,7 +147,7 @@ def _signatures(n: int, where: dict):
     full = (1 << n) - 1
     start = where.get(0, 0)
     if not start:
-        return None
+        return {}
     level, width = {0: {start: 1}}, 1
     for _ in range(n):
         live = width
@@ -147,7 +160,7 @@ def _signatures(n: int, where: dict):
                 s2 = s | bit
                 held = where.get(s2, 0)
                 if not held:
-                    return None
+                    return {}
                 out = nxt.get(s2)
                 if out is None:
                     out = nxt[s2] = {}
@@ -156,7 +169,7 @@ def _signatures(n: int, where: dict):
                     if a2 in out:
                         out[a2] += c
                     elif not a2:
-                        return None
+                        return {}
                     else:
                         out[a2] = c
                         live += 1
@@ -168,23 +181,20 @@ def _signatures(n: int, where: dict):
 
 def covers_all(family: CoverFamily) -> bool:
     """True iff every permutation of [n] is supported by some member: no
-    path of the signature DP dies.  Cached on the family; CapError when the
-    DP would hold more than systems.STATE_BUDGET live states."""
-    if family._covers_all is None:
-        family._covers_all = _histogram(family) is not None
-    return family._covers_all
+    path of the signature DP dies.  Reads the family's cached histogram;
+    CapError when the DP would hold more than systems.STATE_BUDGET live
+    states."""
+    return bool(_histogram(family))
 
 
 def exactly_once(family: CoverFamily) -> bool:
     """Unique-mode check: every permutation is supported by exactly one
     member, i.e. the signature DP loses no path and every signature is a
-    single member.  Cached on the family, with covers_all; CapError when the
-    DP would hold more than systems.STATE_BUDGET live states."""
-    if family._exactly_once is None:
-        hist = _histogram(family)
-        family._covers_all = hist is not None
-        family._exactly_once = hist is not None and all(not a & (a - 1) for a in hist)
-    return family._exactly_once
+    single member.  Reads the family's cached histogram, as covers_all does;
+    CapError when the DP would hold more than systems.STATE_BUDGET live
+    states."""
+    hist = _histogram(family)
+    return bool(hist) and all(not a & (a - 1) for a in hist)
 
 
 def prescribed_family_size(f: SetSystem) -> int:
@@ -208,35 +218,37 @@ def random_cover(base: SetSystem, seed: int, max_tries: int) -> CoverFamily:
     bases that already cover everything yield a family of size 1); further
     members are uniform random permutations from the seeded generator.  The
     family so far is checked with the signature DP after each draw (see
-    covers_all).  Raises ValueError if coverage is not reached within
-    max_tries draws, CapError when a check would hold more than
-    systems.STATE_BUDGET live states.
+    covers_all); a draw adds the image of the base's masks, and no member
+    system is built.  The family comes back with the histogram of the last
+    check cached, so covers_all and greedy_prune on it run no DP.  Raises
+    ValueError if coverage is not reached within max_tries draws, CapError
+    when a check would hold more than systems.STATE_BUDGET live states.
     """
     n = base.n
     if not count_chains(base):
         raise ValueError("base supports no permutation; cover impossible")
     gen = SplitMix64(seed)
+    masks = np.concatenate(base.level_arrays())
     relabelings = [tuple(range(1, n + 1))]
     where: dict = {}
-    _add_member(where, 0, base)
-    tries = 0
-    while _signatures(n, where) is None:
-        if tries >= max_tries:
+    _add_member(where, 0, masks)
+    while not (hist := _signatures(n, where)):
+        if len(relabelings) > max_tries:  # the identity, then max_tries draws
             raise ValueError(f"no complete cover within {max_tries} draws")
         sigma = gen.permutation(n)
-        tries += 1
-        _add_member(where, len(relabelings), relabel(base, sigma))
+        _add_member(where, len(relabelings), image_masks(masks, sigma))
         relabelings.append(sigma)
-    return CoverFamily(base, tuple(relabelings))
+    return CoverFamily(base, tuple(relabelings), _hist=hist)
 
 
 def greedy_prune(family: CoverFamily) -> CoverFamily:
-    """Greedy set cover over the signature histogram: repeatedly keep the
-    member that supports the most still-uncovered permutations, ties broken
-    by lowest member index.  The gain of member j is the sum of N(A) over
-    the signatures A that hold j and no kept member."""
+    """Greedy set cover over the family's cached signature histogram:
+    repeatedly keep the member that supports the most still-uncovered
+    permutations, ties broken by lowest member index.  The gain of member j
+    is the sum of N(A) over the signatures A that hold j and no kept
+    member."""
     hist = _histogram(family)
-    if hist is None:
+    if not hist:
         raise ValueError("family does not cover all permutations")
     keep = []
     while hist:
@@ -320,8 +332,7 @@ def regularly_intersecting(f1: SetSystem, f2: SetSystem):
 
 def _witness(f1: SetSystem, through1: dict, f2: SetSystem):
     """regularly_intersecting(f1, f2), given through1 = _chains_through(f1)."""
-    flat1, flat2 = (np.concatenate(f.level_arrays()) for f in (f1, f2))
-    f12 = SetSystem(f1.n, np.intersect1d(flat1, flat2, assume_unique=True))
+    f12 = SetSystem(f1.n, f1.mask_set() & f2.mask_set())
     through12 = _chains_through(f12)
     candidate = tuple(m for m in f12.masks if through1.get(m, 0) == through12.get(m, 0))
     if count_chains(_without(f12, candidate)):
@@ -394,11 +405,12 @@ def dump_family(family: CoverFamily, path, base_path) -> None:
 
 
 def load_family(path) -> CoverFamily:
-    """Read a family file.  A plain-mode claim is verified with covers_all
-    and a unique-mode claim with exactly_once: FormatError when some
-    permutation is not supported at least (plain) or exactly (unique) once,
-    CapError when the check would hold more than systems.STATE_BUDGET live
-    states."""
+    """Read a family file.  A relabeling that is not a permutation of the
+    base's [n], or a removed mask outside [0, 2^n), is a FormatError.  A
+    plain-mode claim is verified with covers_all and a unique-mode claim
+    with exactly_once: FormatError when some permutation is not supported at
+    least (plain) or exactly (unique) once, CapError when the check would
+    hold more than systems.STATE_BUDGET live states."""
     (base_path, mode), body = read_headers(path, "base", "mode")
     if not os_path.isabs(base_path):
         base_path = os_path.join(os_path.dirname(os_path.abspath(path)), base_path)
@@ -417,13 +429,18 @@ def load_family(path) -> CoverFamily:
                 raise FormatError(f"{path}: bad removed line {ln!r}") from None
             if not 1 <= j <= len(relabelings):
                 raise FormatError(f"{path}: removed index {j} out of range")
+            if any(not 0 <= m < 1 << base.n for m in masks):
+                raise FormatError(f"{path}: removed mask outside ground set [{base.n}] in {ln!r}")
             removed[j] = masks
         else:
             try:
                 sigma = tuple(int(t) for t in ln.split())
             except ValueError:
                 raise FormatError(f"{path}: bad relabeling line {ln!r}") from None
-            check_permutation(sigma, base.n)
+            try:
+                check_permutation(sigma, base.n)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
             relabelings.append(sigma)
     if mode == "plain":
         if removed:

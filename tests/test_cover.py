@@ -1,6 +1,7 @@
 """Covering families, regular-intersection witnesses, and unique covers."""
 
 import math
+import re
 from itertools import combinations, permutations
 from math import factorial
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfold import systems
+from chainfold import cover, systems
 from chainfold.constructions import (
     core_prefix_system,
     from_spec,
@@ -211,6 +212,64 @@ def test_benchmark_cover_inputs_match_enumeration():
     assert uf.removed == ((), (6, 7, 14, 15), (9, 48, 11, 13, 50, 52, 15, 54))
 
 
+# --- each coverage DP runs once per family -----------------------------------------
+
+def _counting_signatures(monkeypatch):
+    """Patch cover._signatures to record each call; returns the record."""
+    calls = []
+    signatures = cover._signatures
+
+    def counted(n, where):
+        calls.append(n)
+        return signatures(n, where)
+
+    monkeypatch.setattr(cover, "_signatures", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_random_cover_hands_over_its_familys_histogram(data, n, seed):
+    an = data.draw(st.integers(n // 2 + 1, n))
+    bn = data.draw(st.integers((an + 1) // 2, an))
+    base = core_prefix_system(n, an / n, bn / n)  # the thm45 spec's base
+    fam = random_cover(base, seed, 5000)
+    fresh = cover._histogram(CoverFamily(base, fam.relabelings))
+    assert fam._hist == fresh
+    greedy_prune(fam)
+    assert fam._hist == fresh  # pruning reads the histogram, never edits it
+
+
+def test_cover_then_prune_runs_one_dp_per_check(monkeypatch):
+    calls = _counting_signatures(monkeypatch)
+    built = []
+    init = SetSystem.__init__
+
+    def counted_init(self, n, masks):
+        built.append(len(calls))
+        init(self, n, masks)
+
+    def no_relabel(f, sigma):
+        raise AssertionError("random_cover built a member system")
+
+    monkeypatch.setattr(SetSystem, "__init__", counted_init)
+    monkeypatch.setattr(cover, "relabel", no_relabel)
+    fam = random_cover(from_spec("thm45:7,0.715,0.43"), 11, 5000)
+    assert len(calls) == len(fam) == 15  # the identity, then 14 draws
+    assert not any(built)  # no system built after the first check
+    greedy_prune(fam)
+    assert len(calls) == len(fam)
+
+
+def test_covers_all_and_exactly_once_share_one_dp(monkeypatch):
+    uf = make_unique(greedy_prune(random_cover(from_spec("thm45:6,0.667,0.334"), 11, 1000)))
+    fresh = CoverFamily(uf.base, uf.relabelings, unique_mode=True, removed=uf.removed)
+    calls = _counting_signatures(monkeypatch)
+    assert covers_all(fresh) and exactly_once(fresh)
+    assert exactly_once(fresh) and covers_all(fresh)
+    assert len(calls) == 1
+
+
 # --- the live-state budget -------------------------------------------------------
 # One powerset(4) member holds one signature per prefix set, so the DP is widest
 # on the step from level 1 to level 2 (or 2 to 3): C(4,1) + C(4,2) = 10 states.
@@ -230,7 +289,7 @@ def test_state_budget_caps_every_coverage_question(monkeypatch):
         greedy_prune(plain)
     with pytest.raises(CapError):
         exactly_once(unique)
-    assert plain._covers_all is None and unique._exactly_once is None
+    assert plain._hist is None and unique._hist is None
 
 
 # --- random_cover -----------------------------------------------------------
@@ -568,6 +627,32 @@ def test_family_file_refuses_unique_claim_over_budget(tmp_path, monkeypatch):
         load_family(path)
     monkeypatch.setattr(systems, "STATE_BUDGET", 923)
     with pytest.raises(CapError):
+        load_family(path)
+
+
+def _dumped_unique_family(tmp_path):
+    base = from_spec("thm45:6,0.667,0.334")
+    fam = make_unique(greedy_prune(random_cover(base, 11, 1000)))
+    path = tmp_path / "fam.cf"
+    dump_family(fam, path, tmp_path / "base.ss")
+    return path
+
+
+@pytest.mark.parametrize("mask", ["ffff", "ffffffffffffffffff", "-1"])
+def test_family_file_rejects_removed_mask_outside_ground_set(tmp_path, mask):
+    path = _dumped_unique_family(tmp_path)
+    assert load_family(path).unique_mode
+    # member 1 removes nothing, so a mask outside [6] would change no member
+    path.write_text(path.read_text() + f"removed 1: {mask}\n")
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: removed mask outside"):
+        load_family(path)
+
+
+@pytest.mark.parametrize("line", ["1 2 2 4 5 6", "1 2 3"])
+def test_family_file_rejects_relabeling_that_is_not_a_permutation(tmp_path, line):
+    path = _dumped_unique_family(tmp_path)
+    path.write_text(path.read_text().replace("mode unique\n", f"mode unique\n{line}\n"))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: not a permutation of \\[6\\]"):
         load_family(path)
 
 

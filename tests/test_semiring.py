@@ -403,15 +403,15 @@ def test_restricted_refuses_family_that_misses_a_permutation():
     assert _dp_over_masks(problem, fam.systems()[0]) == 93
     with pytest.raises(ValueError, match="does not cover"):
         evaluate_restricted(problem, fam)
-    assert fam._covers_all is False
+    assert fam._hist == {}
 
 
 def test_restricted_checks_coverage_once_per_family(monkeypatch):
     problem = tsp_path_problem(random_instance(5, 23))
     fam = greedy_prune(random_cover(core_prefix_system(5, 0.8, 0.4), seed=2, max_tries=500))
-    assert fam._covers_all is None
+    assert fam._hist is None
     first = evaluate_restricted(problem, fam)
-    assert fam._covers_all is True
+    assert sum(fam._hist.values()) == factorial(5)
 
     def recount(n, where):
         raise AssertionError("coverage counted twice")
@@ -478,9 +478,9 @@ def test_unique_refuses_false_unique_claim():
 def test_unique_check_is_cached_on_the_family():
     fam = CoverFamily(powerset(4), ((1, 2, 3, 4),), unique_mode=True, removed=((),))
     p = PermutationProblem(4, 0, lambda mask, tail: 1, COUNTING)
-    assert fam._exactly_once is None
+    assert fam._hist is None
     assert evaluate_unique(p, fam) == 24
-    assert fam._exactly_once is True
+    assert fam._hist == {1: 24}
 
 
 def test_le_on_random_poset_with_unique_family():
